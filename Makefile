@@ -3,9 +3,9 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-smoke bench-smoke-baseline bench-record
+.PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-fold bench-harness bench-smoke bench-smoke-baseline bench-record
 
-check: vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench-smoke
+check: vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench-smoke bench-harness
 
 vet:
 	$(GO) vet ./...
@@ -43,11 +43,14 @@ race:
 # operation-sequence fuzzer (which also covers the replacement-policy and
 # translation-table choices plus scan-registration events), and the
 # translation-directory fuzzer (chunked COW growth, range discipline,
-# overflow ids); a longer session is one FUZZTIME=5m away.
+# overflow ids), and the tuple decoder under arbitrary schemas, column sets
+# and page bytes (never panics, never reads past the buffer, agrees with the
+# full decode); a longer session is one FUZZTIME=5m away.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -fuzz FuzzPoolOps -fuzztime $(FUZZTIME) ./internal/buffer
 	$(GO) test -fuzz FuzzTranslation -fuzztime $(FUZZTIME) ./internal/buffer
+	$(GO) test -fuzz FuzzDecodeColumns -fuzztime $(FUZZTIME) ./internal/record
 
 # The differential policy harness: reference-model equivalence for every
 # replacement policy across shard counts, the estimator edge cases, the
@@ -81,11 +84,13 @@ test-serve:
 # visit equivalence, trace-journal exactly-once footprint tiling), the
 # backpressure starvation bound, the seeded chaos suite with same-seed
 # replay, the engine-level aggregation parity (pull/private vs push/private
-# vs push/shared, one physical scan), and the shared-state unit suite — all
-# under the race detector at constrained and oversubscribed GOMAXPROCS.
+# vs push/shared, one physical scan), the shared-state unit suite, and the
+# aliasing suite (decoded varchars are views into the delivered page, so
+# nothing a fold or an operator retains may point into it) — all under the
+# race detector at constrained and oversubscribed GOMAXPROCS.
 test-push:
 	$(GO) test -race -cpu 2,8 -run 'TestPush|FuzzPushSubscribe' ./internal/realtime
-	$(GO) test -race -cpu 2,8 -run 'TestShared|TestGroupByConsumer' ./internal/exec
+	$(GO) test -race -cpu 2,8 -run 'TestShared|TestGroupByConsumer|TestAliasing' ./internal/exec
 	$(GO) test -race -run 'TestRunRealtimeAggregates|TestServePushDelivery|TestDriverShedRetry' . ./internal/server
 
 # The causal-span proof obligations (see DESIGN.md's tracing section and
@@ -107,6 +112,20 @@ bench:
 # (see EXPERIMENTS.md and DESIGN.md for interpreting the matrices).
 bench-pool:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolAcquireRelease|BenchmarkPoolAcquireHitParallel' -benchmem -cpu 1,4,8 ./internal/buffer
+
+# The per-tuple path in isolation: one lineitem page decoded (all columns, and
+# the four Q1 reads) and folded with Q1's shape (private table, shared striped
+# table). The allocation ceilings these imply are pinned in tier-1 by
+# TestForEachDoesNotAllocate and TestFoldAllocations.
+bench-fold:
+	$(GO) test -run '^$$' -bench 'BenchmarkDecodePage|BenchmarkGroupByPage' -benchmem ./internal/heap ./internal/exec
+
+# The repo benchmark (BENCHMARK.json, benchmark/) is a module of its own that
+# `./...` does not reach: vet and test the harness, then run every workload
+# once at reduced scale with all oracles on.
+bench-harness:
+	cd benchmark && $(GO) vet ./... && $(GO) test ./...
+	bash benchmark/run.sh -quick
 
 # Tiny deterministic realtime bench compared against the checked-in
 # baseline. The workload is sleep-dominated (page/read delays dwarf CPU

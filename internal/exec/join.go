@@ -63,7 +63,7 @@ func (j *HashJoin) build() error {
 			return fmt.Errorf("exec: join ordinal %d out of range for build tuple", j.LeftOrdinal)
 		}
 		key = appendKey(key[:0], t[j.LeftOrdinal])
-		j.table[string(key)] = append(j.table[string(key)], append(record.Tuple(nil), t...))
+		j.table[string(key)] = append(j.table[string(key)], t.Clone())
 	}
 }
 

@@ -1,6 +1,7 @@
 package exec
 
 import (
+	"encoding/binary"
 	"fmt"
 	"math"
 	"sort"
@@ -10,7 +11,8 @@ import (
 
 // Filter passes through the tuples of Input for which Pred returns true.
 // Predicate CPU cost is modelled by the scan's CPUWeight, not charged here,
-// so predicates themselves should be cheap Go code.
+// so predicates themselves should be cheap Go code. Pred sees the input's
+// tuple under the Operator contract: it must not retain it.
 type Filter struct {
 	Input Operator
 	Pred  func(record.Tuple) bool
@@ -154,6 +156,18 @@ type AggSpec struct {
 	Ordinal int
 }
 
+// CheckColumn reports whether the aggregate is defined over the named column
+// of the given kind. SUM and AVG need a number or a date — folding widens
+// with numeric, which has no value for a varchar; COUNT, MIN and MAX take
+// any kind. Everything that compiles an AggSpec from column names calls it
+// and prefixes the error with its own package.
+func (k AggKind) CheckColumn(column string, kind record.Kind) error {
+	if (k == AggSum || k == AggAvg) && kind == record.KindString {
+		return fmt.Errorf("%s over column %q of kind %s: want a numeric or date column", k, column, kind)
+	}
+	return nil
+}
+
 // Aggregate is a hash aggregation over its input: one output tuple per
 // distinct combination of the GroupBy ordinals (or exactly one tuple with no
 // GroupBy), laid out as group-by values followed by aggregate values in spec
@@ -165,15 +179,6 @@ type Aggregate struct {
 
 	results []record.Tuple
 	pos     int
-}
-
-type aggState struct {
-	key    record.Tuple
-	counts []int64
-	sums   []float64
-	mins   []record.Value
-	maxs   []record.Value
-	seen   []bool
 }
 
 // Open opens the input and validates the specification. The aggregation
@@ -223,110 +228,147 @@ func (a *Aggregate) run() error {
 	return nil
 }
 
-// aggTable is the hash-aggregation core shared by the Aggregate operator and
-// the push-mode GroupByConsumer: fold tuples in, take deterministic sorted
-// rows out. Not safe for concurrent folds — SharedAggState stripes these.
+// aggTable is the hash-aggregation core under the Aggregate operator, the
+// push-mode GroupByConsumer and every stripe of a SharedAggState: fold tuples
+// in, take deterministic sorted rows out. Not safe for concurrent folds.
+//
+// Group state lives in two slabs indexed by group number, so a new group
+// costs its map key and nothing else, and folding into an existing group
+// allocates nothing.
 type aggTable struct {
 	groupBy []int
 	aggs    []AggSpec
-	groups  map[string]*aggState
+	groups  map[string]int // encoded group key -> group number
+	keys    []record.Value // len(groupBy) values per group, owned (cloned)
+	cells   []aggCell      // len(aggs) cells per group
 	keyBuf  []byte
 }
 
+// aggCell is the running state of one aggregate of one group.
+type aggCell struct {
+	count int64
+	sum   float64
+	ext   record.Value // running MIN or MAX, owned (cloned); set once count > 0
+}
+
 func newAggTable(groupBy []int, aggs []AggSpec) *aggTable {
-	return &aggTable{groupBy: groupBy, aggs: aggs, groups: make(map[string]*aggState)}
+	return &aggTable{groupBy: groupBy, aggs: aggs, groups: make(map[string]int)}
+}
+
+// appendGroupKey appends the encoding of t's group-by values to dst.
+func appendGroupKey(dst []byte, groupBy []int, t record.Tuple) ([]byte, error) {
+	for _, ord := range groupBy {
+		if ord < 0 || ord >= len(t) {
+			return dst, fmt.Errorf("exec: group-by ordinal %d out of range", ord)
+		}
+		dst = appendKey(dst, t[ord])
+	}
+	return dst, nil
 }
 
 // fold accumulates one input tuple into its group.
 func (tb *aggTable) fold(t record.Tuple) error {
-	tb.keyBuf = tb.keyBuf[:0]
-	var key record.Tuple
-	for _, ord := range tb.groupBy {
-		if ord < 0 || ord >= len(t) {
-			return fmt.Errorf("exec: group-by ordinal %d out of range", ord)
-		}
-		key = append(key, t[ord])
-		tb.keyBuf = appendKey(tb.keyBuf, t[ord])
+	key, err := appendGroupKey(tb.keyBuf[:0], tb.groupBy, t)
+	tb.keyBuf = key
+	if err != nil {
+		return err
 	}
-	st := tb.groups[string(tb.keyBuf)]
-	if st == nil {
-		st = &aggState{
-			key:    key,
-			counts: make([]int64, len(tb.aggs)),
-			sums:   make([]float64, len(tb.aggs)),
-			mins:   make([]record.Value, len(tb.aggs)),
-			maxs:   make([]record.Value, len(tb.aggs)),
-			seen:   make([]bool, len(tb.aggs)),
+	return tb.foldKeyed(key, t)
+}
+
+// foldKeyed is fold for a caller that has already encoded t's group key. The
+// group is looked up by those bytes first; only a new group builds its key
+// tuple. t may view memory the caller reuses (a decoded page): what the table
+// keeps of it — group keys, MIN/MAX values — is cloned.
+func (tb *aggTable) foldKeyed(key []byte, t record.Tuple) error {
+	g, ok := tb.groups[string(key)]
+	if !ok {
+		g = len(tb.groups)
+		tb.groups[string(key)] = g
+		for _, ord := range tb.groupBy {
+			tb.keys = append(tb.keys, t[ord].Clone())
 		}
-		tb.groups[string(tb.keyBuf)] = st
+		tb.cells = append(tb.cells, make([]aggCell, len(tb.aggs))...)
 	}
+	cells := tb.cells[g*len(tb.aggs):][:len(tb.aggs)]
 	for i, spec := range tb.aggs {
+		c := &cells[i]
 		if spec.Kind == AggCount {
-			st.counts[i]++
+			c.count++
 			continue
 		}
 		if spec.Ordinal < 0 || spec.Ordinal >= len(t) {
 			return fmt.Errorf("exec: aggregate ordinal %d out of range", spec.Ordinal)
 		}
 		v := t[spec.Ordinal]
-		st.counts[i]++
 		switch spec.Kind {
 		case AggSum, AggAvg:
-			st.sums[i] += numeric(v)
+			c.sum += numeric(v)
 		case AggMin:
-			if !st.seen[i] || record.Compare(v, st.mins[i]) < 0 {
-				st.mins[i] = v
+			if c.count == 0 || record.Compare(v, c.ext) < 0 {
+				c.ext = v.Clone()
 			}
 		case AggMax:
-			if !st.seen[i] || record.Compare(v, st.maxs[i]) > 0 {
-				st.maxs[i] = v
+			if c.count == 0 || record.Compare(v, c.ext) > 0 {
+				c.ext = v.Clone()
 			}
 		default:
 			return fmt.Errorf("exec: unknown aggregate %v", spec.Kind)
 		}
-		st.seen[i] = true
+		c.count++
 	}
 	return nil
 }
 
-// rows finalizes the table: one row per group, sorted by key encoding, with
-// the SQL empty-ungrouped special case.
-func (tb *aggTable) rows() []record.Tuple {
-	return finalizeGroups(tb.groups, tb.groupBy, tb.aggs)
+// keyedRow is one finished group: its result row and the key encoding that
+// orders it.
+type keyedRow struct {
+	key string
+	row record.Tuple
 }
 
-// finalizeGroups renders group states as sorted result rows; shared between
-// aggTable and the striped SharedAggState (whose key spaces are disjoint and
-// merge into one map).
-func finalizeGroups(groups map[string]*aggState, groupBy []int, aggs []AggSpec) []record.Tuple {
-	keys := make([]string, 0, len(groups))
-	for k := range groups {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	results := make([]record.Tuple, 0, len(keys))
-	for _, k := range keys {
-		st := groups[k]
-		row := append(record.Tuple(nil), st.key...)
-		for i, spec := range aggs {
+// appendRows appends one finished row per group to dst, in no particular
+// order.
+func (tb *aggTable) appendRows(dst []keyedRow) []keyedRow {
+	nk, na := len(tb.groupBy), len(tb.aggs)
+	for key, g := range tb.groups {
+		row := make(record.Tuple, 0, nk+na)
+		row = append(row, tb.keys[g*nk:][:nk]...)
+		for i, spec := range tb.aggs {
+			c := &tb.cells[g*na+i]
 			switch spec.Kind {
 			case AggCount:
-				row = append(row, record.Int64(st.counts[i]))
+				row = append(row, record.Int64(c.count))
 			case AggSum:
-				row = append(row, record.Float64(st.sums[i]))
+				row = append(row, record.Float64(c.sum))
 			case AggAvg:
-				if st.counts[i] == 0 {
-					row = append(row, record.Float64(0))
-				} else {
-					row = append(row, record.Float64(st.sums[i]/float64(st.counts[i])))
+				avg := 0.0
+				if c.count > 0 {
+					avg = c.sum / float64(c.count)
 				}
-			case AggMin:
-				row = append(row, st.mins[i])
-			case AggMax:
-				row = append(row, st.maxs[i])
+				row = append(row, record.Float64(avg))
+			case AggMin, AggMax:
+				row = append(row, c.ext)
 			}
 		}
-		results = append(results, row)
+		dst = append(dst, keyedRow{key, row})
+	}
+	return dst
+}
+
+// rows finalizes the table: one row per group, sorted by key encoding.
+func (tb *aggTable) rows() []record.Tuple {
+	return sortedRows(tb.appendRows(nil), tb.groupBy, tb.aggs)
+}
+
+// sortedRows orders finished groups by key encoding, and applies the SQL
+// empty-ungrouped special case; shared between aggTable and the striped
+// SharedAggState (whose stripes hold disjoint key sets).
+func sortedRows(groups []keyedRow, groupBy []int, aggs []AggSpec) []record.Tuple {
+	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
+	results := make([]record.Tuple, 0, len(groups))
+	for _, g := range groups {
+		results = append(results, g.row)
 	}
 	if len(results) == 0 && len(groupBy) == 0 {
 		// SQL semantics: an ungrouped aggregate over an empty input
@@ -368,9 +410,7 @@ func appendKey(dst []byte, v record.Value) []byte {
 		if v.Kind == record.KindFloat64 {
 			bits = math.Float64bits(v.F)
 		}
-		for shift := 0; shift < 64; shift += 8 {
-			dst = append(dst, byte(bits>>shift))
-		}
+		dst = binary.LittleEndian.AppendUint64(dst, bits)
 	}
 	return dst
 }
@@ -378,7 +418,7 @@ func appendKey(dst []byte, v record.Value) []byte {
 // Close closes the input.
 func (a *Aggregate) Close() error { return a.Input.Close() }
 
-// Collect opens root, drains it, closes it, and returns copies of all output
+// Collect opens root, drains it, closes it, and returns clones of all output
 // tuples. It is the standard way to run a plan to completion.
 func Collect(env *Env, root Operator) ([]record.Tuple, error) {
 	if err := root.Open(env); err != nil {
@@ -394,7 +434,7 @@ func Collect(env *Env, root Operator) ([]record.Tuple, error) {
 		if !ok {
 			break
 		}
-		out = append(out, append(record.Tuple(nil), t...))
+		out = append(out, t.Clone())
 		env.Acct.TuplesOut++
 	}
 	if err := root.Close(); err != nil {

@@ -11,15 +11,22 @@ import (
 
 // Operator is the volcano-style iterator every plan node implements. Open
 // prepares the node, Next produces the next tuple (ok=false at end of
-// stream), Close releases resources. Tuples returned by Next may be reused
-// by subsequent calls; callers that retain them must copy.
+// stream), Close releases resources.
+//
+// A tuple returned by Next belongs to the caller only until the next call of
+// Next or Close: the slice is reused, and the varchars in it may be views
+// into the page a TableScan below is serving, whose bytes are not the
+// caller's either. An operator or caller that keeps a tuple or a value past
+// that point clones it (record.Tuple.Clone, record.Value.Clone) — Collect,
+// Sort, the HashJoin build side and the aggregation state do.
 type Operator interface {
 	Open(env *Env) error
 	Next() (record.Tuple, bool, error)
 	Close() error
 }
 
-// TableScan reads a page range of a heap table and emits its tuples.
+// TableScan reads a page range of a heap table and emits its tuples, every
+// column decoded, varchars as views into the page (see Operator).
 //
 // With Shared=false it behaves like a classic scanner: front-to-back reads,
 // default release priority. With Shared=true and a non-nil env.SSM, it

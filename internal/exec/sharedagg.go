@@ -2,6 +2,7 @@ package exec
 
 import (
 	"fmt"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -67,22 +68,44 @@ func NewSharedAggState(groupBy []int, aggs []AggSpec, stripes int) (*SharedAggSt
 // Fold accumulates one tuple. Safe for concurrent use; only the owning
 // stripe is locked.
 func (s *SharedAggState) Fold(t record.Tuple) error {
-	var kb [64]byte
-	key := kb[:0]
-	for _, ord := range s.groupBy {
-		if ord < 0 || ord >= len(t) {
-			return fmt.Errorf("exec: group-by ordinal %d out of range", ord)
-		}
-		key = appendKey(key, t[ord])
-	}
-	st := &s.stripes[fnv64(key)%uint64(len(s.stripes))]
-	st.mu.Lock()
-	err := st.tbl.fold(t)
-	st.mu.Unlock()
+	var held *aggStripe
+	err := s.fold(&held, t)
+	held.release()
 	if err == nil {
 		s.folds.Add(1)
 	}
 	return err
+}
+
+// fold is Fold for a run of tuples: it neither counts the fold (a consumer
+// adds a page's folds at once) nor unlocks the stripe it folded into, which
+// it leaves in *held — when the next tuple of the run lands on the same
+// stripe the mutex is not touched. The caller releases *held after the run.
+// The group key is encoded once: it picks the stripe, and the stripe's table
+// looks the group up by the same bytes.
+func (s *SharedAggState) fold(held **aggStripe, t record.Tuple) error {
+	var kb [64]byte
+	key, err := appendGroupKey(kb[:0], s.groupBy, t)
+	if err != nil {
+		return err
+	}
+	// The high half of hash x stripes is a uniform stripe number without a
+	// division.
+	n, _ := bits.Mul64(fnv64(key), uint64(len(s.stripes)))
+	st := &s.stripes[n]
+	if st != *held {
+		(*held).release()
+		st.mu.Lock()
+		*held = st
+	}
+	return st.tbl.foldKeyed(key, t)
+}
+
+// release unlocks a stripe a run of folds left locked; nil is no stripe.
+func (st *aggStripe) release() {
+	if st != nil {
+		st.mu.Unlock()
+	}
 }
 
 // Folds returns how many tuples have been folded in so far.
@@ -103,16 +126,14 @@ func (s *SharedAggState) ClaimPage(pageNo int) bool {
 // Rows merges the stripes and returns the deterministic sorted result rows.
 // Call it after every folding consumer has finished.
 func (s *SharedAggState) Rows() []record.Tuple {
-	merged := make(map[string]*aggState)
+	var groups []keyedRow
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		for k, g := range st.tbl.groups {
-			merged[k] = g // stripe key sets are disjoint
-		}
+		groups = st.tbl.appendRows(groups) // stripe key sets are disjoint
 		st.mu.Unlock()
 	}
-	return finalizeGroups(merged, s.groupBy, s.aggs)
+	return sortedRows(groups, s.groupBy, s.aggs)
 }
 
 // GroupByConsumer folds the tuples of scanned heap pages into GROUP BY state
@@ -123,7 +144,10 @@ func (s *SharedAggState) Rows() []record.Tuple {
 type GroupByConsumer struct {
 	// Schema decodes the table's heap pages. Required.
 	Schema *record.Schema
-	// Pred, when set, filters tuples before aggregation.
+	// Pred, when set, filters tuples before aggregation. The tuple and the
+	// bytes its varchars view belong to the page being folded: Pred must
+	// not retain either. Setting it makes the consumer decode every column,
+	// because what an opaque function reads cannot be known.
 	Pred func(record.Tuple) bool
 	// GroupBy and Aggs define the query shape (ordinals into the schema).
 	GroupBy []int
@@ -133,14 +157,33 @@ type GroupByConsumer struct {
 	// shared state once, via SharedAggState.Rows).
 	Shared *SharedAggState
 
-	local *aggTable
-	pages int64
-	err   error
+	cols    record.Columns // what OnPage decodes; compiled by the first page
+	scratch record.Tuple
+	local   *aggTable
+	pages   int64
+	err     error
+}
+
+// columns compiles the set of columns the consumer's pages are decoded for:
+// GroupBy and the inputs of the non-COUNT Aggs, or everything under a Pred.
+func (c *GroupByConsumer) columns() (record.Columns, error) {
+	if c.Pred != nil {
+		return record.AllColumns(c.Schema), nil
+	}
+	ords := append([]int(nil), c.GroupBy...)
+	for _, spec := range c.Aggs {
+		if spec.Kind != AggCount {
+			ords = append(ords, spec.Ordinal)
+		}
+	}
+	return record.SelectColumns(c.Schema, ords...)
 }
 
 // OnPage folds every tuple of one heap page; it has the realtime
-// ScanSpec.OnPage signature. Errors latch: the first one is kept and later
-// pages are ignored, surfacing through Results.
+// ScanSpec.OnPage signature. data is only read during the call — what the
+// aggregation keeps of it is cloned — so the caller may reuse the buffer.
+// Errors latch: the first one is kept and later pages are ignored, surfacing
+// through Results.
 func (c *GroupByConsumer) OnPage(pageNo int, data []byte) {
 	if c.err != nil {
 		return
@@ -148,24 +191,53 @@ func (c *GroupByConsumer) OnPage(pageNo int, data []byte) {
 	if c.Shared != nil && !c.Shared.ClaimPage(pageNo) {
 		return // another sharing consumer already folded this page
 	}
-	view, err := heap.View(c.Schema, data)
+	if c.cols.Schema() == nil {
+		var err error
+		if c.cols, err = c.columns(); err != nil {
+			c.err = fmt.Errorf("exec: group-by consumer: %w", err)
+			return
+		}
+		if c.Shared == nil {
+			c.local = newAggTable(c.GroupBy, c.Aggs)
+		}
+	}
+	view, err := heap.ViewColumns(c.cols, data)
 	if err != nil {
 		c.err = fmt.Errorf("exec: page %d: %w", pageNo, err)
 		return
 	}
-	if c.local == nil && c.Shared == nil {
-		c.local = newAggTable(c.GroupBy, c.Aggs)
-	}
 	c.pages++
-	c.err = view.ForEach(func(t record.Tuple) error {
-		if c.Pred != nil && !c.Pred(t) {
-			return nil
+	var folded int64
+	var held *aggStripe // the shared stripe the previous fold left locked
+	for i := 0; i < view.NumTuples(); i++ {
+		t, err := view.Tuple(c.scratch, i)
+		if err != nil {
+			c.err = err
+			break
+		}
+		c.scratch = t
+		if c.Pred != nil {
+			held.release() // Pred is the caller's code: never run it under a lock
+			held = nil
+			if !c.Pred(t) {
+				continue
+			}
 		}
 		if c.Shared != nil {
-			return c.Shared.Fold(t)
+			err = c.Shared.fold(&held, t)
+		} else {
+			err = c.local.fold(t)
 		}
-		return c.local.fold(t)
-	})
+		if err != nil {
+			c.err = err
+			break
+		}
+		folded++
+	}
+	held.release()
+	if c.Shared != nil {
+		c.Shared.folds.Add(folded)
+	}
 }
 
 // Pages returns how many pages the consumer folded.

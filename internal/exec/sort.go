@@ -73,7 +73,7 @@ func (s *Sort) run() error {
 				return fmt.Errorf("exec: sort ordinal %d out of range", k.Ordinal)
 			}
 		}
-		s.rows = append(s.rows, append(record.Tuple(nil), t...))
+		s.rows = append(s.rows, t.Clone())
 	}
 	var sortErr error
 	sort.SliceStable(s.rows, func(i, j int) bool {

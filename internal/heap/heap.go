@@ -18,6 +18,7 @@ package heap
 import (
 	"encoding/binary"
 	"fmt"
+	"sync"
 
 	"scanshare/internal/disk"
 	"scanshare/internal/record"
@@ -158,18 +159,26 @@ func (b *Builder) Finish() (*Table, error) {
 	return t, nil
 }
 
-// PageView provides access to the tuples of one encoded page.
+// PageView provides access to the tuples of one encoded page, decoding the
+// columns of its column set.
 type PageView struct {
-	schema *record.Schema
-	buf    []byte
-	n      int
-	data   []byte // data area
-	slots  []byte // raw slot directory
+	cols  record.Columns
+	n     int
+	data  []byte // data area
+	slots []byte // raw slot directory
 }
 
-// View parses the page header and slot directory of buf. The data is not
-// copied; buf must stay immutable while the view is used.
+// View parses the page header and slot directory of buf for a reader of
+// every column. The data is not copied; buf must stay immutable while the
+// view, and any varchar decoded through it, is used.
 func View(schema *record.Schema, buf []byte) (PageView, error) {
+	return ViewColumns(record.AllColumns(schema), buf)
+}
+
+// ViewColumns is View for a reader of the columns in cols only: tuples keep
+// the schema's width and ordinals, and columns outside the set read as the
+// zero Value of their kind.
+func ViewColumns(cols record.Columns, buf []byte) (PageView, error) {
 	if len(buf) < pageHeaderSize {
 		return PageView{}, fmt.Errorf("heap: page of %d bytes has no header", len(buf))
 	}
@@ -179,18 +188,20 @@ func View(schema *record.Schema, buf []byte) (PageView, error) {
 		return PageView{}, fmt.Errorf("heap: slot directory of %d entries exceeds page", n)
 	}
 	return PageView{
-		schema: schema,
-		buf:    buf,
-		n:      n,
-		slots:  buf[pageHeaderSize:dirEnd],
-		data:   buf[dirEnd:],
+		cols:  cols,
+		n:     n,
+		slots: buf[pageHeaderSize:dirEnd],
+		data:  buf[dirEnd:],
 	}, nil
 }
 
 // NumTuples returns the number of tuples on the page.
 func (v PageView) NumTuples() int { return v.n }
 
-// Tuple decodes tuple i into dst (reusing its backing array) and returns it.
+// Tuple decodes tuple i into dst and returns it. dst is empty (its backing
+// array is reused) or a tuple this view's column set decoded before, and the
+// varchars of the result are views into the page: see record.Columns.Decode.
+// A caller that keeps a value beyond the page Clones it.
 func (v PageView) Tuple(dst record.Tuple, i int) (record.Tuple, error) {
 	if i < 0 || i >= v.n {
 		return nil, fmt.Errorf("heap: tuple %d out of range [0,%d)", i, v.n)
@@ -199,20 +210,31 @@ func (v PageView) Tuple(dst record.Tuple, i int) (record.Tuple, error) {
 	if off > len(v.data) {
 		return nil, fmt.Errorf("heap: tuple %d offset %d beyond data area", i, off)
 	}
-	t, _, err := record.Decode(dst, v.schema, v.data[off:])
+	t, _, err := v.cols.Decode(dst, v.data[off:])
 	return t, err
 }
 
-// ForEach decodes every tuple on the page in slot order and calls fn. The
-// tuple passed to fn is reused between calls; fn must not retain it.
+// scratchTuples recycles ForEach's decode buffer: fn is an unknown function,
+// so a buffer local to ForEach would be heap-allocated on every call.
+var scratchTuples = sync.Pool{New: func() any { return new(record.Tuple) }}
+
+// ForEach decodes every tuple on the page in slot order and calls fn. Both
+// the tuple and the bytes its varchars view are only fn's for the duration
+// of the call: the tuple is overwritten by the next decode and the varchars
+// point into the page. fn must Clone whatever it retains.
 func (v PageView) ForEach(fn func(record.Tuple) error) error {
-	var scratch record.Tuple
+	scratch := scratchTuples.Get().(*record.Tuple)
+	defer func() {
+		clear(*scratch) // drop the views so a pooled buffer pins no page
+		*scratch = (*scratch)[:0]
+		scratchTuples.Put(scratch)
+	}()
 	for i := 0; i < v.n; i++ {
-		t, err := v.Tuple(scratch, i)
+		t, err := v.Tuple(*scratch, i)
 		if err != nil {
 			return err
 		}
-		scratch = t
+		*scratch = t
 		if err := fn(t); err != nil {
 			return err
 		}

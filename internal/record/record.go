@@ -23,6 +23,7 @@ import (
 	"fmt"
 	"math"
 	"strings"
+	"unsafe"
 )
 
 // Kind enumerates field types.
@@ -206,6 +207,25 @@ func (v Value) GoString() string {
 // Tuple is one row: values in schema order.
 type Tuple []Value
 
+// Clone returns v owning its bytes: a decoded varchar is a view into the page
+// it was decoded from (see Columns.Decode), so anything that keeps a value
+// past the decoder's next call, or past the page, clones it first.
+func (v Value) Clone() Value {
+	if v.Kind == KindString {
+		v.S = strings.Clone(v.S)
+	}
+	return v
+}
+
+// Clone returns a copy of t that owns its backing array and its varchars.
+func (t Tuple) Clone() Tuple {
+	out := make(Tuple, len(t))
+	for i, v := range t {
+		out[i] = v.Clone()
+	}
+	return out
+}
+
 // Encode appends the tuple's binary form to dst and returns the extended
 // slice. The tuple must match the schema.
 func Encode(dst []byte, s *Schema, t Tuple) ([]byte, error) {
@@ -259,41 +279,143 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// Decode parses one tuple of schema s from buf, reusing dst's backing array
-// when it has capacity. It returns the tuple and the number of bytes
-// consumed.
-func Decode(dst Tuple, s *Schema, buf []byte) (Tuple, int, error) {
-	t := dst[:0]
-	off := 0
-	for i := 0; i < s.NumFields(); i++ {
-		f := s.Field(i)
-		switch f.Kind {
-		case KindInt64, KindDate:
+// Columns is a decode plan: which fields of a schema a query reads. It is
+// compiled once per query and is two words to copy. Ordinals keep their
+// meaning under any column set — a decoded tuple always has NumFields values,
+// and a field the set leaves out reads as the zero Value of its kind.
+type Columns struct {
+	schema *Schema
+	sel    *selection // nil reads every field
+}
+
+// selection is the compiled form of a proper subset of the fields.
+type selection struct {
+	want []bool // want[i]: field i is read
+	// fixed counts the fields ahead of the first varchar. They are all 8
+	// bytes wide, so field i < fixed sits at byte 8*i of every tuple;
+	// prefix lists the ones that are read.
+	fixed  int
+	prefix []int
+}
+
+// AllColumns is the column set that reads every field of s. It allocates
+// nothing, so it can be built per page.
+func AllColumns(s *Schema) Columns { return Columns{schema: s} }
+
+// SelectColumns compiles the column set that reads the given ordinals of s
+// (in any order, repeats allowed).
+func SelectColumns(s *Schema, ordinals ...int) (Columns, error) {
+	sel := &selection{want: make([]bool, len(s.fields))}
+	for _, ord := range ordinals {
+		if ord < 0 || ord >= len(s.fields) {
+			return Columns{}, fmt.Errorf("record: column ordinal %d out of range [0,%d)", ord, len(s.fields))
+		}
+		sel.want[ord] = true
+	}
+	for sel.fixed < len(s.fields) && s.fields[sel.fixed].Kind != KindString {
+		if sel.want[sel.fixed] {
+			sel.prefix = append(sel.prefix, sel.fixed)
+		}
+		sel.fixed++
+	}
+	return Columns{schema: s, sel: sel}, nil
+}
+
+// Schema returns the schema the set was compiled for.
+func (c Columns) Schema() *Schema { return c.schema }
+
+// Decode parses one tuple from buf and returns it with the number of bytes
+// consumed. Every field is bounds-checked and stepped over whether or not the
+// set reads it, so the byte count and the error on truncated or malformed
+// input do not depend on the set.
+//
+// dst is either empty — its backing array is reused when it has capacity —
+// or a tuple an earlier Decode of this same column set returned, the
+// `scratch = t` loop. The second form is what makes a field outside the set
+// free: its typed zero is written once, when the tuple is first sized, and
+// is not touched again.
+//
+// Varchars are views into buf, not copies: they are valid for as long as
+// buf's bytes are unchanged, and the tuple itself only until it is decoded
+// into again. Callers that retain a value Clone it.
+func (c Columns) Decode(dst Tuple, buf []byte) (Tuple, int, error) {
+	fields := c.schema.fields
+	t := dst
+	if len(t) != len(fields) {
+		if t = t[:0]; cap(t) < len(fields) {
+			t = make(Tuple, len(fields))
+		}
+		t = t[:len(fields)]
+		for i := range fields {
+			t[i] = Value{Kind: fields[i].Kind}
+		}
+	}
+	sel := c.sel
+	i, off := 0, 0
+	if sel != nil && 8*sel.fixed <= len(buf) {
+		// The whole fixed-width prefix is there: read what is wanted of
+		// it at its known offsets and start the walk behind it.
+		for _, ord := range sel.prefix {
+			t[ord].setFixed(buf[8*ord:])
+		}
+		i, off = sel.fixed, 8*sel.fixed
+	}
+	for ; i < len(fields); i++ {
+		f := &fields[i]
+		want := sel == nil || sel.want[i]
+		if f.Kind != KindString {
 			if off+8 > len(buf) {
 				return nil, 0, fmt.Errorf("record: truncated %s field %q", f.Kind, f.Name)
 			}
-			u := binary.LittleEndian.Uint64(buf[off:])
-			t = append(t, Value{Kind: f.Kind, I: int64(u)})
+			if want {
+				t[i].setFixed(buf[off:])
+			}
 			off += 8
-		case KindFloat64:
-			if off+8 > len(buf) {
-				return nil, 0, fmt.Errorf("record: truncated double field %q", f.Name)
-			}
-			u := binary.LittleEndian.Uint64(buf[off:])
-			t = append(t, Float64(math.Float64frombits(u)))
-			off += 8
-		case KindString:
-			n, vn := binary.Uvarint(buf[off:])
-			if vn <= 0 {
-				return nil, 0, fmt.Errorf("record: bad varchar length for field %q", f.Name)
-			}
-			off += vn
-			if off+int(n) > len(buf) {
-				return nil, 0, fmt.Errorf("record: truncated varchar field %q", f.Name)
-			}
-			t = append(t, String(string(buf[off:off+int(n)])))
-			off += int(n)
+			continue
 		}
+		var n uint64
+		vn := 1
+		if off < len(buf) && buf[off] < 0x80 {
+			n = uint64(buf[off]) // one-byte length, the common case
+		} else if n, vn = binary.Uvarint(buf[off:]); vn <= 0 {
+			return nil, 0, fmt.Errorf("record: bad varchar length for field %q", f.Name)
+		}
+		off += vn
+		if n > uint64(len(buf)-off) {
+			return nil, 0, fmt.Errorf("record: truncated varchar field %q", f.Name)
+		}
+		if want {
+			t[i].S = viewString(buf[off : off+int(n)])
+		}
+		off += int(n)
 	}
 	return t, off, nil
+}
+
+// setFixed loads the 8-byte field at the start of b into v, whose Kind is
+// already set and whose other members are zero.
+func (v *Value) setFixed(b []byte) {
+	u := binary.LittleEndian.Uint64(b)
+	if v.Kind == KindFloat64 {
+		v.F = math.Float64frombits(u)
+	} else {
+		v.I = int64(u)
+	}
+}
+
+// Decode parses one tuple of schema s from buf with every column
+// materialized; see Columns.Decode for dst and for the lifetime of varchars.
+func Decode(dst Tuple, s *Schema, buf []byte) (Tuple, int, error) {
+	return AllColumns(s).Decode(dst, buf)
+}
+
+// viewString returns b's bytes as a string without copying them — the only
+// unsafe in the codec. It is sound because nothing writes to a page after it
+// is built: disk.Device.Write stores a copy and replaces the page's slice
+// rather than mutating it, the buffer pool hands out that same slice, and an
+// injected torn read fails with an error and is never delivered. A caller
+// decoding from a buffer it does reuse must Clone what it keeps before the
+// next write.
+func viewString(b []byte) string {
+	return unsafe.String(unsafe.SliceData(b), len(b))
 }

@@ -152,8 +152,12 @@ func Compile(sel *Select, lookup func(table string) (Meta, error)) (*Spec, error
 			if !ok {
 				return nil, fmt.Errorf("sql: %s over an expression is not supported; aggregate a plain column", item.Agg)
 			}
-			if _, err := schema.Ordinal(col.Name); err != nil {
+			ord, err := schema.Ordinal(col.Name)
+			if err != nil {
 				return nil, fmt.Errorf("sql: unknown column %q", col.Name)
+			}
+			if err := kind.CheckColumn(col.Name, schema.Field(ord).Kind); err != nil {
+				return nil, fmt.Errorf("sql: %w", err)
 			}
 			spec.Aggs = append(spec.Aggs, AggTerm{Kind: kind, Column: col.Name})
 		default:

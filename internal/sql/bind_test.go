@@ -213,6 +213,40 @@ func TestCompileErrors(t *testing.T) {
 	}
 }
 
+// TestCompileAggregateKinds: SUM and AVG over a varchar are compile errors
+// that name the column and its kind (they used to answer 0); COUNT, MIN and
+// MAX take any kind, and dates sum as day numbers.
+func TestCompileAggregateKinds(t *testing.T) {
+	for stmt, wantErr := range map[string][]string{
+		"SELECT sum(l_returnflag) FROM lineitem":                                 {`"l_returnflag"`, "varchar", "sum"},
+		"SELECT l_orderkey, avg(l_returnflag) FROM lineitem GROUP BY l_orderkey": {`"l_returnflag"`, "varchar", "avg"},
+		"SELECT sum(s_name) FROM lineitem JOIN suppliers ON l_orderkey = s_key":  {`"s_name"`, "varchar"},
+		"SELECT min(l_returnflag), max(l_returnflag), count(*) FROM lineitem":    nil,
+		"SELECT sum(l_shipdate), avg(l_orderkey), sum(l_quantity) FROM lineitem": nil,
+	} {
+		sel, err := Parse(stmt)
+		if err != nil {
+			t.Fatalf("parse %q: %v", stmt, err)
+		}
+		_, err = Compile(sel, fakeLookup)
+		if wantErr == nil {
+			if err != nil {
+				t.Errorf("Compile(%q): %v", stmt, err)
+			}
+			continue
+		}
+		if err == nil {
+			t.Errorf("Compile(%q) succeeded", stmt)
+			continue
+		}
+		for _, sub := range wantErr {
+			if !strings.Contains(err.Error(), sub) {
+				t.Errorf("Compile(%q) error %q lacks %q", stmt, err, sub)
+			}
+		}
+	}
+}
+
 func TestCompileGroupByWithoutAggsIsDistinct(t *testing.T) {
 	spec := compile(t, "SELECT l_returnflag FROM lineitem GROUP BY l_returnflag")
 	if len(spec.GroupBy) != 1 || len(spec.Aggs) != 0 {

@@ -102,7 +102,9 @@ func (q *Query) Importance(i Importance) *Query {
 	return q
 }
 
-// Where sets the predicate applied to every scanned tuple.
+// Where sets the predicate applied to every scanned tuple. The tuple, and the
+// bytes behind its varchars, are the scan's: pred reads them and keeps
+// nothing.
 func (q *Query) Where(pred func(Tuple) bool) *Query {
 	q.pred = pred
 	return q
@@ -199,14 +201,16 @@ func (q *Query) plan(shared bool) (exec.Operator, error) {
 		root = &exec.Filter{Input: root, Pred: q.pred}
 	}
 	ordinalIn := func(col string) (int, error) { return fieldOrdinal(fields, col, q.label()) }
+	aggIn := fields // what an aggregation on top reads: the projection, if any
 	if len(q.project) > 0 {
 		ords := make([]int, len(q.project))
+		aggIn = make([]Field, len(q.project))
 		for i, col := range q.project {
 			ord, err := ordinalIn(col)
 			if err != nil {
 				return nil, err
 			}
-			ords[i] = ord
+			ords[i], aggIn[i] = ord, fields[ord]
 		}
 		root = &exec.Project{Input: root, Ordinals: ords}
 	}
@@ -238,6 +242,9 @@ func (q *Query) plan(shared bool) (exec.Operator, error) {
 				ord, err := ordinal(term.col)
 				if err != nil {
 					return nil, err
+				}
+				if err := term.kind.CheckColumn(term.col, aggIn[ord].Kind); err != nil {
+					return nil, fmt.Errorf("scanshare: query %q: %w", q.label(), err)
 				}
 				spec.Ordinal = ord
 			}
@@ -286,29 +293,29 @@ func (q *Query) outputOrdinal(col string) (int, error) {
 	return fieldOrdinal(fields, col, q.label())
 }
 
-// preProjectionFields lists the column names flowing out of the query's
-// scan (or join) stage, before any projection.
-func (q *Query) preProjectionFields() []string {
+// preProjectionFields lists the columns flowing out of the query's scan (or
+// join) stage, before any projection.
+func (q *Query) preProjectionFields() []Field {
 	if q.join != nil {
 		return append(schemaFields(q.join.left.table.Schema()), schemaFields(q.join.right.table.Schema())...)
 	}
 	return schemaFields(q.table.Schema())
 }
 
-func schemaFields(s *Schema) []string {
-	out := make([]string, s.NumFields())
-	for i := 0; i < s.NumFields(); i++ {
-		out[i] = s.Field(i).Name
+func schemaFields(s *Schema) []Field {
+	out := make([]Field, s.NumFields())
+	for i := range out {
+		out[i] = s.Field(i)
 	}
 	return out
 }
 
 // fieldOrdinal resolves a column name against a field list, rejecting
 // unknown and ambiguous names.
-func fieldOrdinal(fields []string, col, label string) (int, error) {
+func fieldOrdinal(fields []Field, col, label string) (int, error) {
 	found := -1
 	for i, f := range fields {
-		if f != col {
+		if f.Name != col {
 			continue
 		}
 		if found >= 0 {
@@ -323,8 +330,8 @@ func fieldOrdinal(fields []string, col, label string) (int, error) {
 }
 
 // baseTree builds the scan (or join-of-scans) stage and returns it together
-// with its output field names.
-func (q *Query) baseTree(shared bool) (exec.Operator, []string, error) {
+// with its output fields.
+func (q *Query) baseTree(shared bool) (exec.Operator, []Field, error) {
 	if q.join == nil {
 		op, err := q.scanTree(shared)
 		if err != nil {

@@ -31,7 +31,10 @@ type RealtimeAggQuery struct {
 	GroupBy []string
 	// Aggs are the aggregate output columns.
 	Aggs []RealtimeAggSpec
-	// Filter, when set, drops tuples before aggregation.
+	// Filter, when set, drops tuples before aggregation. It must not
+	// retain the tuple or its varchars (they view the delivered page), and
+	// it makes the fold decode every column instead of only those the
+	// query names, since what a Go function reads cannot be known.
 	Filter func(Tuple) bool
 }
 
@@ -112,6 +115,9 @@ func (e *Engine) RunRealtimeAggregates(ctx context.Context, opts RealtimeOptions
 			spec := exec.AggSpec{Kind: a.Kind}
 			if a.Kind != exec.AggCount {
 				ord, err := schema.Ordinal(a.Column)
+				if err == nil {
+					err = a.Kind.CheckColumn(a.Column, schema.Field(ord).Kind)
+				}
 				if err != nil {
 					return nil, fmt.Errorf("scanshare: aggregate query %d: %w", i, err)
 				}

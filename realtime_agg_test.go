@@ -3,6 +3,7 @@ package scanshare_test
 import (
 	"bytes"
 	"context"
+	"strings"
 	"testing"
 	"time"
 
@@ -157,5 +158,33 @@ func TestRunRealtimeAggregatesValidation(t *testing.T) {
 			Aggs: []scanshare.RealtimeAggSpec{{Kind: scanshare.Sum, Column: "nope"}},
 		}}, false); err == nil {
 		t.Error("unknown aggregate column accepted")
+	}
+}
+
+// TestRunRealtimeAggregatesAggregateKinds: SUM and AVG over a varchar are
+// rejected before any scan starts, with an error naming the column and its
+// kind; MIN, MAX and COUNT over the same column run.
+func TestRunRealtimeAggregatesAggregateKinds(t *testing.T) {
+	eng, tbl := newEngine(t, 64, 200)
+	for name, tc := range map[string]struct {
+		aggs    []scanshare.RealtimeAggSpec
+		wantErr bool
+	}{
+		"sum varchar": {[]scanshare.RealtimeAggSpec{{Kind: scanshare.Count}, {Kind: scanshare.Sum, Column: "flag"}}, true},
+		"avg varchar": {[]scanshare.RealtimeAggSpec{{Kind: scanshare.Avg, Column: "flag"}}, true},
+		"min max varchar, sum date": {[]scanshare.RealtimeAggSpec{
+			{Kind: scanshare.Min, Column: "flag"}, {Kind: scanshare.Max, Column: "flag"},
+			{Kind: scanshare.Count, Column: "flag"}, {Kind: scanshare.Sum, Column: "day"}}, false},
+	} {
+		_, err := eng.RunRealtimeAggregates(context.Background(), scanshare.RealtimeOptions{},
+			[]scanshare.RealtimeAggQuery{{Scan: scanshare.RealtimeScan{Table: tbl}, Aggs: tc.aggs}}, false)
+		switch {
+		case !tc.wantErr && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case tc.wantErr && err == nil:
+			t.Errorf("%s: accepted", name)
+		case tc.wantErr && !(strings.Contains(err.Error(), `"flag"`) && strings.Contains(err.Error(), "varchar")):
+			t.Errorf("%s: error %q does not name the column and its kind", name, err)
+		}
 	}
 }

@@ -243,6 +243,33 @@ func TestQueryErrors(t *testing.T) {
 	}
 }
 
+// TestQueryAggregateKinds: the builder rejects SUM and AVG over a varchar at
+// plan time, naming the column and its kind, with or without a projection
+// renumbering the columns; the other aggregates and kinds plan and run.
+func TestQueryAggregateKinds(t *testing.T) {
+	eng, tbl := newEngine(t, 50, 100)
+	for name, tc := range map[string]struct {
+		q       *scanshare.Query
+		wantErr bool
+	}{
+		"sum varchar":           {scanshare.NewQuery(tbl).Sum("flag"), true},
+		"avg varchar":           {scanshare.NewQuery(tbl).GroupBy("day").Avg("flag"), true},
+		"sum projected varchar": {scanshare.NewQuery(tbl).Select("flag", "id").Sum("flag"), true},
+		"min max varchar":       {scanshare.NewQuery(tbl).Aggregate(scanshare.Min, "flag").Aggregate(scanshare.Max, "flag"), false},
+		"sum date avg bigint":   {scanshare.NewQuery(tbl).Sum("day").Avg("id").CountAll(), false},
+	} {
+		_, err := eng.Run(scanshare.Baseline, []scanshare.Job{{Query: tc.q}})
+		switch {
+		case !tc.wantErr && err != nil:
+			t.Errorf("%s: %v", name, err)
+		case tc.wantErr && err == nil:
+			t.Errorf("%s: accepted", name)
+		case tc.wantErr && !(strings.Contains(err.Error(), `"flag"`) && strings.Contains(err.Error(), "varchar")):
+			t.Errorf("%s: error %q does not name the column and its kind", name, err)
+		}
+	}
+}
+
 func TestRangeQueryScansSubset(t *testing.T) {
 	eng, tbl := newEngine(t, 200, 1000)
 	full, err := eng.Run(scanshare.Baseline, []scanshare.Job{

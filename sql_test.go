@@ -148,6 +148,8 @@ func TestSQLErrors(t *testing.T) {
 		"SELECT ghost FROM events":           "unknown column",
 		"SELECT id, count(*) FROM events":    "GROUP BY",
 		"SELECT * FROM events WHERE qty + 1": "boolean",
+		// Used to compile and answer [[0 0]].
+		"SELECT sum(tag), avg(tag) FROM events": `"tag" of kind varchar`,
 	}
 	for stmt, wantSub := range bad {
 		_, err := eng.SQL(stmt)

@@ -5,7 +5,18 @@ FUZZTIME ?= 10s
 
 .PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-fold bench-harness bench-smoke bench-smoke-baseline bench-record
 
-check: vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench-smoke bench-harness
+# Every target runs in turn and reports its wall time, so a slow gate names
+# the step that made it slow.
+CHECK_TARGETS = vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench-smoke bench-harness
+
+check:
+	@begin=$$(date +%s); \
+	for t in $(CHECK_TARGETS); do \
+		start=$$(date +%s); \
+		$(MAKE) --no-print-directory $$t || exit 1; \
+		echo "== $$t: $$(( $$(date +%s) - start )) s"; \
+	done; \
+	echo "== check: $$(( $$(date +%s) - begin )) s"
 
 vet:
 	$(GO) vet ./...
@@ -28,16 +39,18 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent layers, run twice to shake out
-# schedule-dependent failures, then again over the lock-striped pool and the
-# coalescing runner at constrained and oversubscribed GOMAXPROCS — shard and
-# singleflight races surface at different parallelism levels. See
-# CONCURRENCY.md for the deterministic seed-replay harness used to debug
-# anything this finds.
-# The experiments suite under race with -count=2 runs close to the default
-# 600s per-binary timeout on a loaded machine; give it explicit headroom.
+# schedule-dependent failures, then again over the lock-striped pool, the
+# manager's park/wake protocol and the coalescing runner at constrained and
+# oversubscribed GOMAXPROCS — shard, wake-up and singleflight races surface
+# at different parallelism levels. See CONCURRENCY.md for the deterministic
+# seed-replay harness used to debug anything this finds.
+# The experiments run in virtual time, where sim.Kernel lets one goroutine
+# run at a time: the detector has no interleaving to find there, so that
+# package gets one -short pass (the shape tests) instead of two full ones.
 race:
-	$(GO) test -race -count=2 -timeout 30m ./internal/...
-	$(GO) test -race -cpu 2,8 ./internal/buffer ./internal/realtime ./internal/telemetry
+	$(GO) test -race -short -timeout 30m ./internal/experiments
+	$(GO) test -race -count=2 -timeout 30m $$($(GO) list ./internal/... | grep -v '/internal/experiments$$')
+	$(GO) test -race -cpu 2,8 ./internal/buffer ./internal/core ./internal/realtime ./internal/telemetry
 
 # Short coverage-guided fuzz passes: the SQL parser, the buffer pool's
 # operation-sequence fuzzer (which also covers the replacement-policy and

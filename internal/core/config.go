@@ -18,7 +18,11 @@
 //     waits into its location-update calls, so the group stays within a
 //     buffer-pool-sized window and keeps sharing pages. Throttling is bounded
 //     for fairness: a scan that has been delayed for more than a fraction
-//     (80% by default) of its estimated total scan time is left alone.
+//     (80% by default) of its estimated total scan time is left alone. An
+//     engine whose reads are cheap says so (ObserveReadCost), and a wait that
+//     would cost more than the reads it saves is not advised; an engine that
+//     waits in real time parks on a wake-up (ParkThrottled, SettleThrottle)
+//     and is charged only the time it waited.
 //   - Page release priorities: scans release processed pages back to the
 //     buffer pool with a priority hint. A scan with group members behind it
 //     releases at high priority (they will need the page in a moment); the
@@ -26,9 +30,10 @@
 //     are the cheapest to evict); scans outside any group use the default.
 //
 // The SSM deliberately treats both the buffer pool and the storage layout as
-// black boxes: its entire interface to the engine is StartScan /
-// ReportProgress / EndScan, exactly the narrow surface the paper argues makes
-// the mechanism easy to retrofit onto an existing database system.
+// black boxes: its interface to the engine is StartScan / ReportProgress /
+// EndScan — everything else is optional — exactly the narrow surface the
+// paper argues makes the mechanism easy to retrofit onto an existing database
+// system.
 package core
 
 import (

@@ -1,6 +1,9 @@
 package core
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // group is a maximal run of scans on the same table that are close enough to
 // share buffer pages. Members are consecutive in circular page order;
@@ -21,6 +24,60 @@ type scanPair struct {
 	dist          int // forward pages from behind to ahead
 }
 
+// regroupScratch is regroupLocked's working storage. It lives on the Manager
+// and is cleared, not reallocated, between runs: a progress report is the
+// manager's hot path, and a steady-state report must not allocate.
+type regroupScratch struct {
+	byTable   map[TableID][]*scanState
+	pairs     []scanPair
+	parent    map[ScanID]ScanID
+	next      map[ScanID]ScanID // behind -> ahead links inside runs
+	hasBehind map[ScanID]bool
+	trailers  []ScanID
+	// spare is the group list of the regroup before last. Its group objects
+	// (and their member slices) are recycled; the previous run's list stays
+	// intact while the new one is built, because group-change events are
+	// derived by diffing the two.
+	spare []*group
+}
+
+func newRegroupScratch() regroupScratch {
+	return regroupScratch{
+		byTable:   make(map[TableID][]*scanState),
+		parent:    make(map[ScanID]ScanID),
+		next:      make(map[ScanID]ScanID),
+		hasBehind: make(map[ScanID]bool),
+	}
+}
+
+// find is union-find root lookup with path halving over rg.parent.
+func (rg *regroupScratch) find(x ScanID) ScanID {
+	for rg.parent[x] != x {
+		rg.parent[x] = rg.parent[rg.parent[x]]
+		x = rg.parent[x]
+	}
+	return x
+}
+
+// newGroupLocked appends an empty group to m.groups, recycling the group
+// object left in that slot by an earlier regroup when there is one.
+func (m *Manager) newGroupLocked(table TableID, trailer ScanID) *group {
+	n := len(m.groups)
+	var g *group
+	if n < cap(m.groups) {
+		m.groups = m.groups[:n+1]
+		g = m.groups[n]
+	} else {
+		m.groups = append(m.groups, nil)
+	}
+	if g == nil {
+		g = new(group)
+		m.groups[n] = g
+	}
+	*g = group{table: table, trailer: trailer, members: g.members[:0]}
+	return g
+}
+
 // regroupLocked recomputes scan groups using the paper's greedy algorithm:
 // consider adjacent same-table scan pairs sorted by distance, and merge them
 // in increasing order into runs until the sum of all group extents would
@@ -30,38 +87,44 @@ func (m *Manager) regroupLocked() {
 		return
 	}
 	m.dirty = false
+	rg := &m.rg
 	// Group-change events are derived by diffing the new grouping against
-	// the old one; snapshotting the old group pointers is only worth it when
-	// somebody listens.
-	var prev []*group
-	if m.cfg.OnEvent != nil {
-		prev = append(prev, m.groups...)
-	}
-	m.groups = m.groups[:0]
+	// the old one, so the old list is kept as it is and the new one is built
+	// in the list before it.
+	prev := m.groups
+	m.groups, rg.spare = rg.spare[:0], prev
 
 	// Collect candidate pairs per table. Detached scans are invisible
 	// here: a group must never chain itself to a scan whose reads are
 	// failing, and a detached scan must not be picked as anyone's leader
 	// or trailer.
-	byTable := make(map[TableID][]*scanState)
-	for _, s := range m.scans {
+	for t, scans := range rg.byTable {
+		if len(scans) == 0 {
+			delete(rg.byTable, t) // no attached scan last time either
+			continue
+		}
+		rg.byTable[t] = scans[:0]
+	}
+	clear(rg.parent)
+	for id, s := range m.scans {
 		if s.detached {
 			continue
 		}
-		byTable[s.table] = append(byTable[s.table], s)
+		rg.byTable[s.table] = append(rg.byTable[s.table], s)
+		rg.parent[id] = id
 	}
 
-	var pairs []scanPair
-	for _, scans := range byTable {
+	pairs := rg.pairs[:0]
+	for _, scans := range rg.byTable {
 		if len(scans) < 2 {
 			continue
 		}
 		// Order scans by circular position; ties by ID for determinism.
-		sort.Slice(scans, func(i, j int) bool {
-			if scans[i].pos() != scans[j].pos() {
-				return scans[i].pos() < scans[j].pos()
+		slices.SortFunc(scans, func(a, b *scanState) int {
+			if c := cmp.Compare(a.pos(), b.pos()); c != 0 {
+				return c
 			}
-			return scans[i].id < scans[j].id
+			return cmp.Compare(a.id, b.id)
 		})
 		n := len(scans)
 		for i := 0; i < n; i++ {
@@ -89,33 +152,21 @@ func (m *Manager) regroupLocked() {
 		}
 	}
 
-	sort.Slice(pairs, func(i, j int) bool {
-		if pairs[i].dist != pairs[j].dist {
-			return pairs[i].dist < pairs[j].dist
+	slices.SortFunc(pairs, func(a, b scanPair) int {
+		if c := cmp.Compare(a.dist, b.dist); c != 0 {
+			return c
 		}
-		if pairs[i].behind != pairs[j].behind {
-			return pairs[i].behind < pairs[j].behind
+		if c := cmp.Compare(a.behind, b.behind); c != 0 {
+			return c
 		}
-		return pairs[i].ahead < pairs[j].ahead
+		return cmp.Compare(a.ahead, b.ahead)
 	})
+	rg.pairs = pairs
 
 	// Greedy merge with a global extent budget (the buffer-pool size).
-	parent := make(map[ScanID]ScanID, len(m.scans))
-	next := make(map[ScanID]ScanID) // behind -> ahead links inside runs
-	var find func(ScanID) ScanID
-	find = func(x ScanID) ScanID {
-		for parent[x] != x {
-			parent[x] = parent[parent[x]]
-			x = parent[x]
-		}
-		return x
-	}
-	for id, s := range m.scans {
-		if s.detached {
-			continue
-		}
-		parent[id] = id
-	}
+	next, hasBehind := rg.next, rg.hasBehind
+	clear(next)
+	clear(hasBehind)
 	budget := m.cfg.BufferPoolPages
 	total := 0
 	for _, p := range pairs {
@@ -124,43 +175,34 @@ func (m *Manager) regroupLocked() {
 			// not fit, none of the rest will either.
 			break
 		}
-		rb, ra := find(p.behind), find(p.ahead)
+		rb, ra := rg.find(p.behind), rg.find(p.ahead)
 		if rb == ra {
 			continue // would close a full circle
 		}
 		if _, taken := next[p.behind]; taken {
 			continue // p.behind already has a scan directly ahead
 		}
-		already := false
-		for _, ahead := range next {
-			if ahead == p.ahead {
-				already = true
-				break
-			}
-		}
-		if already {
+		if hasBehind[p.ahead] {
 			continue // p.ahead already has a scan directly behind
 		}
-		parent[rb] = ra
+		rg.parent[rb] = ra
 		next[p.behind] = p.ahead
+		hasBehind[p.ahead] = true
 		total += p.dist
 	}
 
 	// Materialize runs: a trailer is a scan that is nobody's "ahead".
-	hasBehind := make(map[ScanID]bool, len(next))
-	for _, ahead := range next {
-		hasBehind[ahead] = true
-	}
-	var trailers []ScanID
-	for id := range m.scans {
-		if _, isBehind := next[id]; (isBehind || hasBehind[id]) && !hasBehind[id] {
+	trailers := rg.trailers[:0]
+	for id := range next {
+		if !hasBehind[id] {
 			trailers = append(trailers, id)
 		}
 	}
-	sort.Slice(trailers, func(i, j int) bool { return trailers[i] < trailers[j] })
+	slices.Sort(trailers)
+	rg.trailers = trailers
 
 	for _, trailer := range trailers {
-		g := &group{table: m.scans[trailer].table, trailer: trailer}
+		g := m.newGroupLocked(m.scans[trailer].table, trailer)
 		for id := trailer; ; {
 			g.members = append(g.members, id)
 			ahead, ok := next[id]
@@ -176,7 +218,6 @@ func (m *Manager) regroupLocked() {
 			g.extent += d
 			id = ahead
 		}
-		m.groups = append(m.groups, g)
 	}
 
 	if m.cfg.OnEvent != nil {
@@ -283,4 +324,3 @@ func firstKey(set map[int]bool) int {
 	}
 	return -1
 }
-

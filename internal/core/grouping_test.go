@@ -5,6 +5,8 @@ import (
 	"testing"
 	"testing/quick"
 	"time"
+
+	"scanshare/internal/heap/heaptest"
 )
 
 // place registers a scan and drives it to the given table position via one
@@ -234,5 +236,39 @@ func TestGroupingInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestReportProgressDoesNotAllocate pins the manager's hot path: eight scans
+// of one table advancing in lock step (one group, the shape a shared
+// workload keeps the manager in), no event listener. Every report moves a
+// scan, so every report regroups — out of storage the manager already owns.
+func TestReportProgressDoesNotAllocate(t *testing.T) {
+	if heaptest.RaceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	cfg := DefaultConfig(1000)
+	cfg.PrefetchExtentPages = 8
+	m := MustNewManager(cfg)
+	ids := make([]ScanID, 8)
+	for i := range ids {
+		ids[i], _ = startScan(t, m, 1, 1<<40, 0)
+	}
+	i := 0
+	step := func() {
+		round := i/len(ids) + 1
+		if _, err := m.ReportProgress(ids[i%len(ids)], round*8, time.Duration(round)*time.Millisecond); err != nil {
+			t.Fatal(err)
+		}
+		i++
+	}
+	for range 4 * len(ids) {
+		step() // warm-up: both group lists and the scratch maps are sized
+	}
+	if got := testing.AllocsPerRun(200, step); got != 0 {
+		t.Errorf("a steady-state progress report allocates %v times, want 0", got)
+	}
+	if snap := m.Snapshot(); len(snap.Groups) != 1 || len(snap.Groups[0].Members) != len(ids) {
+		t.Fatalf("scans did not stay one group: %v", snap)
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 )
@@ -156,6 +157,13 @@ type scanState struct {
 
 	throttled time.Duration // accumulated inserted wait
 
+	// wake carries the manager's "your wait has lost its purpose" signal to
+	// this scan while it is parked (ParkThrottled … SettleThrottle). It is
+	// made at the first park and holds at most one token, so signalling never
+	// blocks.
+	wake   chan struct{}
+	parked bool
+
 	// detached marks a scan excluded from grouping, placement, and
 	// throttling after persistent read failures, so healthy scans are
 	// never chained to it. The rest of its state (position, speed,
@@ -224,11 +232,41 @@ type Manager struct {
 	pagesSeen int64
 	groups    []*group
 	dirty     bool // groups need recomputation
-	stats     Stats
+	rg        regroupScratch
+	// perTable counts the registered scans of each table, so a progress
+	// report can tell in one lookup that it cannot change any group.
+	perTable map[TableID]tableScans
+	stats    Stats
+	// readReads physical reads, as reported through ObserveReadCost, took
+	// readTime together; zero reads means no caller ever priced a read and
+	// throttling decides as the paper does, from distance alone.
+	readReads int64
+	readTime  time.Duration
+	// parked lists the leaders waiting out a throttle on their wake channel.
+	parked []*scanState
 	// lastNow is the latest caller-supplied timestamp, used to stamp group
 	// delta events raised by regroups that have no time of their own (for
 	// example a Snapshot-triggered recomputation).
 	lastNow time.Duration
+}
+
+// tableScans counts one table's registered scans; attached excludes the
+// detached ones, which grouping does not see.
+type tableScans struct {
+	registered, attached int
+}
+
+// countScanLocked adjusts table's scan counts; an entry that reaches zero
+// registered scans is dropped.
+func (m *Manager) countScanLocked(table TableID, registered, attached int) {
+	c := m.perTable[table]
+	c.registered += registered
+	c.attached += attached
+	if c.registered == 0 {
+		delete(m.perTable, table)
+		return
+	}
+	m.perTable[table] = c
 }
 
 // touch advances lastNow; timestamps from concurrent scan workers may arrive
@@ -248,6 +286,8 @@ func NewManager(cfg Config) (*Manager, error) {
 		cfg:          cfg,
 		scans:        make(map[ScanID]*scanState),
 		lastFinished: make(map[TableID]residual),
+		rg:           newRegroupScratch(),
+		perTable:     make(map[TableID]tableScans),
 	}, nil
 }
 
@@ -325,6 +365,7 @@ func (m *Manager) StartScan(opts ScanOpts, now time.Duration) (ScanID, Placement
 	s.origin = pl.Origin
 
 	m.scans[s.id] = s
+	m.countScanLocked(s.table, 1, 1)
 	m.dirty = true
 	m.stats.ScansStarted++
 	m.emit(Event{Kind: EventScanStarted, Time: now, Scan: s.id, Table: s.table, Placement: pl})
@@ -370,11 +411,16 @@ func (m *Manager) ReportProgress(id ScanID, pagesProcessed int, now time.Duratio
 	if pagesProcessed != s.processed {
 		m.pagesSeen += int64(pagesProcessed - s.processed)
 		s.processed = pagesProcessed
-		m.dirty = true
+		// Groups are runs of attached scans of one table: a detached scan,
+		// or the only attached scan of its table, moves without changing any.
+		if !s.detached && m.perTable[s.table].attached >= 2 {
+			m.dirty = true
+		}
 	}
 
 	m.stats.ProgressReports++
 	m.regroupLocked()
+	m.wakeParkedLocked()
 	g := m.groupOf(id)
 
 	adv := Advice{
@@ -398,10 +444,8 @@ func (m *Manager) reportIntervalLocked(s *scanState, g *group) int {
 	if g != nil && len(g.members) >= 2 {
 		return extent
 	}
-	for _, other := range m.scans {
-		if other.id != s.id && other.table == s.table {
-			return extent
-		}
+	if m.perTable[s.table].registered >= 2 {
+		return extent
 	}
 	return 4 * extent
 }
@@ -452,6 +496,18 @@ func (m *Manager) throttleLocked(leader *scanState, g *group, now time.Duration)
 	if !grew {
 		return 0
 	}
+	// A wait buys the group the reads it would otherwise repeat, so it has
+	// to cost less than they do. This is an observation, not a setting: with
+	// no read ever priced the wait stands, as in the paper, where a read is
+	// a disk access.
+	excess := g.extent - threshold
+	wait := m.waitFor(excess, trailer)
+	if m.readReads > 0 {
+		saved := float64(excess) * float64(m.readTime) / float64(m.readReads)
+		if saved <= float64(wait) {
+			return 0
+		}
+	}
 	// Fairness cap: a scan delayed for more than MaxThrottleFraction of
 	// its estimated total time is not slowed down anymore. The query's
 	// importance class scales the cap (the paper's proposed dynamic
@@ -467,13 +523,11 @@ func (m *Manager) throttleLocked(leader *scanState, g *group, now time.Duration)
 			m.emit(Event{Kind: EventFairnessExempted, Time: now, Scan: leader.id, Table: leader.table})
 			return 0
 		}
-		wait := m.waitFor(g.extent-threshold, trailer)
 		if wait > allowance {
 			wait = allowance
 		}
-		return m.recordThrottle(leader, wait, g.extent, now)
 	}
-	return m.recordThrottle(leader, m.waitFor(g.extent-threshold, trailer), g.extent, now)
+	return m.recordThrottle(leader, wait, g.extent, now)
 }
 
 // waitFor sizes the wait from the excess distance and the trailer's speed:
@@ -504,6 +558,106 @@ func (m *Manager) recordThrottle(s *scanState, wait time.Duration, gap int, now 
 	return wait
 }
 
+// readCostWindow bounds the memory of the read-cost estimate: past this many
+// reads both sums are halved, so the mean follows a store that changes speed
+// while one slow read among a thousand barely moves it.
+const readCostWindow = 1024
+
+// ObserveReadCost tells the manager that reads physical page reads took total
+// together, as measured by the caller that led them. The mean cost per read
+// is what throttling weighs a wait against. Callers that never report (the
+// virtual-time executor) leave throttling exactly as the paper describes it.
+func (m *Manager) ObserveReadCost(reads int, total time.Duration) {
+	if reads <= 0 || total < 0 {
+		return
+	}
+	m.mu.Lock()
+	m.readReads += int64(reads)
+	m.readTime += total
+	if m.readReads > readCostWindow {
+		m.readReads /= 2
+		m.readTime /= 2
+	}
+	m.mu.Unlock()
+}
+
+// ParkThrottled is called by a scan about to wait out the throttle its last
+// progress report advised. It returns the channel on which the manager
+// signals that the wait has lost its purpose: a ReportProgress, EndScan or
+// DetachScan brought the group's extent back within the threshold, or left
+// the scan without a group to lead. The caller waits on it outside the
+// manager, with the advised wait as its deadline, and then calls
+// SettleThrottle whichever way the wait ended. If the wait is already
+// pointless the channel is ready on return. An unknown scan gets a nil
+// channel, which never is.
+func (m *Manager) ParkThrottled(id ScanID) <-chan struct{} {
+	m.mu.Lock()
+	defer m.deliverAndUnlock()
+	s, ok := m.scans[id]
+	if !ok {
+		return nil
+	}
+	if s.wake == nil {
+		s.wake = make(chan struct{}, 1)
+	}
+	select {
+	case <-s.wake: // a signal that arrived after an earlier wait's deadline
+	default:
+	}
+	if !s.parked {
+		s.parked = true
+		m.parked = append(m.parked, s)
+	}
+	m.wakeParkedLocked()
+	return s.wake
+}
+
+// SettleThrottle ends a throttle wait: the scan was advised to wait planned
+// and waited for waited. The advice was charged in full when it was given;
+// the difference is settled here, so that the fairness budget and
+// Stats.ThrottleTime carry the time really spent waiting.
+func (m *Manager) SettleThrottle(id ScanID, planned, waited time.Duration) error {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	s, ok := m.scans[id]
+	if !ok {
+		return fmt.Errorf("core: SettleThrottle for unknown scan %d", id)
+	}
+	m.unparkLocked(s)
+	s.throttled += waited - planned
+	m.stats.ThrottleTime += waited - planned
+	return nil
+}
+
+// unparkLocked takes s off the parked list, if it is on it.
+func (m *Manager) unparkLocked(s *scanState) {
+	if !s.parked {
+		return
+	}
+	s.parked = false
+	i := slices.Index(m.parked, s)
+	m.parked = slices.Delete(m.parked, i, i+1)
+}
+
+// wakeParkedLocked signals every parked scan that no longer leads a group
+// stretched past the throttle threshold. The send never blocks: a token
+// already in the channel says the same thing.
+func (m *Manager) wakeParkedLocked() {
+	if len(m.parked) == 0 {
+		return
+	}
+	m.regroupLocked()
+	threshold := m.cfg.throttleThresholdPages()
+	for _, s := range m.parked {
+		if g := m.groupOf(s.id); g == nil || g.leader != s.id || g.extent <= threshold {
+			select {
+			case s.wake <- struct{}{}:
+			default:
+			}
+		}
+	}
+}
+
 // DetachScan excludes an ongoing scan from group coordination: it no longer
 // joins groups, attracts placements, or participates in throttling, so a
 // scan whose reads persistently stall cannot chain a healthy group to its
@@ -523,9 +677,11 @@ func (m *Manager) DetachScan(id ScanID, now time.Duration) error {
 		return nil
 	}
 	s.detached = true
+	m.countScanLocked(s.table, 0, -1)
 	m.dirty = true
 	m.stats.ScanDetaches++
 	m.emit(Event{Kind: EventScanDetached, Time: now, Scan: id, Table: s.table, GapPages: s.pos()})
+	m.wakeParkedLocked()
 	return nil
 }
 
@@ -545,6 +701,7 @@ func (m *Manager) RejoinScan(id ScanID, now time.Duration) error {
 		return nil
 	}
 	s.detached = false
+	m.countScanLocked(s.table, 0, 1)
 	m.dirty = true
 	m.stats.ScanRejoins++
 	m.emit(Event{Kind: EventScanRejoined, Time: now, Scan: id, Table: s.table, GapPages: s.pos()})
@@ -563,9 +720,16 @@ func (m *Manager) EndScan(id ScanID, now time.Duration) error {
 	}
 	m.lastFinished[s.table] = residual{pos: s.pos(), at: now, pagesSeen: m.pagesSeen}
 	delete(m.scans, id)
+	attached := -1
+	if s.detached {
+		attached = 0
+	}
+	m.countScanLocked(s.table, -1, attached)
 	m.dirty = true
 	m.stats.ScansFinished++
 	m.emit(Event{Kind: EventScanEnded, Time: now, Scan: id, Table: s.table})
+	m.unparkLocked(s)
+	m.wakeParkedLocked()
 	return nil
 }
 

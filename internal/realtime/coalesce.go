@@ -9,7 +9,7 @@ import (
 // flightTable is the singleflight registry for physical page reads. A caller
 // that wins a pool Miss registers its read here before touching the store;
 // any other scan that then misses on the same page (the pool reports Busy
-// while the frame is pending) finds the flight and blocks on its done
+// while the frame is pending) joins the flight and blocks on its done
 // channel instead of sleep-polling. When the read completes — Fill or Abort,
 // success or failure — the leader publishes the outcome and closes the
 // channel, waking every waiter at once.
@@ -28,12 +28,14 @@ type flightTable struct {
 	m  map[disk.PageID]*flight
 }
 
-// flight is one in-flight physical read. err is written exactly once, before
-// done is closed; the channel close is the happens-before edge that lets
-// waiters read it without the table lock. fallback marks a best-effort
-// (prefetch) read: its failure tells waiters to re-acquire and read the page
-// themselves under their own retry policy, rather than inheriting an error
-// from a reader that never retries.
+// flight is one in-flight physical read. Most reads finish with nobody
+// waiting, so done is made by the first waiter (join, under the table lock)
+// and a flight that was never joined has none to close. err is written
+// exactly once, before done is closed; the channel close is the
+// happens-before edge that lets waiters read it without the table lock.
+// fallback marks a best-effort (prefetch) read: its failure tells waiters to
+// re-acquire and read the page themselves under their own retry policy,
+// rather than inheriting an error from a reader that never retries.
 type flight struct {
 	done     chan struct{}
 	err      error
@@ -50,29 +52,38 @@ func (t *flightTable) begin(pid disk.PageID, fallback bool) *flight {
 	if t == nil {
 		return nil
 	}
-	fl := &flight{done: make(chan struct{}), fallback: fallback}
+	fl := &flight{fallback: fallback}
 	t.mu.Lock()
 	t.m[pid] = fl
 	t.mu.Unlock()
 	return fl
 }
 
-// lookup returns pid's live flight, if any.
-func (t *flightTable) lookup(pid disk.PageID) (*flight, bool) {
+// join registers the caller as a waiter on pid's live flight, if there is
+// one, and returns it together with the channel its finish will close.
+func (t *flightTable) join(pid disk.PageID) (*flight, <-chan struct{}, bool) {
 	if t == nil {
-		return nil, false
+		return nil, nil, false
 	}
 	t.mu.Lock()
+	defer t.mu.Unlock()
 	fl, ok := t.m[pid]
-	t.mu.Unlock()
-	return fl, ok
+	if !ok {
+		return nil, nil, false
+	}
+	if fl.done == nil {
+		fl.done = make(chan struct{})
+	}
+	return fl, fl.done, true
 }
 
 // finish publishes the read's outcome and wakes all waiters. The leader must
 // settle the pool frame first (Fill on success, Abort on failure) so a woken
 // waiter's re-Acquire observes the final state: Hit after a fill, Miss after
 // an abort. The delete is pointer-guarded so a finish racing a newer flight
-// for the same page never removes the newer entry. No-op when t or fl is nil.
+// for the same page never removes the newer entry; once the entry is gone no
+// waiter can join, so the done channel read under the lock is final. No-op
+// when t or fl is nil.
 func (t *flightTable) finish(pid disk.PageID, fl *flight, err error) {
 	if t == nil || fl == nil {
 		return
@@ -82,6 +93,9 @@ func (t *flightTable) finish(pid disk.PageID, fl *flight, err error) {
 	if t.m[pid] == fl {
 		delete(t.m, pid)
 	}
+	done := fl.done
 	t.mu.Unlock()
-	close(fl.done)
+	if done != nil {
+		close(done)
+	}
 }

@@ -11,6 +11,7 @@ import (
 	"scanshare/internal/core"
 	"scanshare/internal/disk"
 	"scanshare/internal/fault"
+	"scanshare/internal/heap/heaptest"
 	"scanshare/internal/metrics"
 )
 
@@ -300,5 +301,40 @@ func TestCoalesceChaosStress(t *testing.T) {
 	if cs.ReadsCoalesced != sumCoalesced || cs.CoalescedFailures != sumFailures {
 		t.Errorf("collector coalescing counters (%d, %d) disagree with result sums (%d, %d)",
 			cs.ReadsCoalesced, cs.CoalescedFailures, sumCoalesced, sumFailures)
+	}
+}
+
+// TestFlightNoWaiterAllocs pins the cost of a miss nobody else wanted: the
+// flight record and nothing more. The done channel exists only once a waiter
+// has joined, and a joined flight still wakes its waiter.
+func TestFlightNoWaiterAllocs(t *testing.T) {
+	ft := newFlightTable()
+	ft.finish(1, ft.begin(1, false), nil) // size the map
+	if !heaptest.RaceEnabled {
+		got := testing.AllocsPerRun(100, func() {
+			ft.finish(1, ft.begin(1, false), nil)
+		})
+		if got > 1 {
+			t.Errorf("begin+finish with no waiter allocates %v objects, want <= 1", got)
+		}
+	}
+
+	fl := ft.begin(2, false)
+	joined, done, ok := ft.join(2)
+	if !ok || joined != fl {
+		t.Fatalf("join = %p, %v; want the live flight %p", joined, ok, fl)
+	}
+	wantErr := errors.New("read failed")
+	ft.finish(2, fl, wantErr)
+	select {
+	case <-done:
+	default:
+		t.Fatal("finish did not close the joined flight's channel")
+	}
+	if joined.err != wantErr {
+		t.Errorf("waiter sees err %v, want %v", joined.err, wantErr)
+	}
+	if _, _, ok := ft.join(2); ok {
+		t.Error("a finished flight can still be joined")
 	}
 }

@@ -10,8 +10,9 @@
 //
 //   - Runner runs N scans as goroutines. Each scan registers with the
 //     Manager, reads its pages through the Pool (filling misses from a
-//     PageStore), reports progress at prefetch-extent granularity, sleeps
-//     through throttle advice with context-aware waits, releases pages at
+//     PageStore), reports progress — and what its reads cost — at
+//     prefetch-extent granularity, waits out throttle advice parked on the
+//     manager's wake-up with the advised wait as the deadline, releases pages at
 //     the advised priority, and deregisters on completion, cancellation, or
 //     a configured mid-flight stop.
 //   - A bounded worker-pool prefetch pipeline reads upcoming extents into
@@ -70,7 +71,7 @@ const (
 	// SiteReport and SiteReported bracket Manager.ReportProgress.
 	SiteReport   Site = "report"
 	SiteReported Site = "reported"
-	// SiteThrottle fires before sleeping a throttle wait.
+	// SiteThrottle fires before waiting out a throttle.
 	SiteThrottle Site = "throttle"
 	// SiteEndScan and SiteEnded bracket Manager.EndScan.
 	SiteEndScan Site = "end-scan"
@@ -217,7 +218,9 @@ type Config struct {
 	PushStallBudget time.Duration
 
 	// Sleep waits for d or until ctx is done. Defaults to a timer-based
-	// wait; perturbation harnesses substitute a virtual-clock advance.
+	// wait; perturbation harnesses substitute a virtual-clock advance. A
+	// supplied Sleep is also handed every throttle wait in full, where the
+	// default parks the scan on the manager's wake-up (see throttleWait).
 	Sleep func(ctx context.Context, d time.Duration)
 
 	// Hook, when set, fires at every Site. Nil means no instrumentation.
@@ -345,6 +348,11 @@ type Runner struct {
 	// flights is the singleflight registry for physical reads, shared by
 	// scan workers and prefetch workers; nil when CoalesceReads is off.
 	flights *flightTable
+	// virtualSleep records that the caller supplied Config.Sleep (the Sched
+	// harness, whose Sleep advances a clock instead of blocking): throttle
+	// waits then go through it whole instead of parking on the manager's
+	// wake-up.
+	virtualSleep bool
 	// skipPageCount suppresses the collector's per-page hit/miss counting
 	// in fetchPage. Set only on the push hub's reader-side Runner copy:
 	// subscribers account the pages they are delivered, so the reader's
@@ -408,10 +416,10 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.SubscriberQueueBatches == 0 {
 		cfg.SubscriberQueueBatches = 4
 	}
+	r := &Runner{cfg: cfg, virtualSleep: cfg.Sleep != nil}
 	if cfg.Sleep == nil {
-		cfg.Sleep = ctxSleep
+		r.cfg.Sleep = ctxSleep
 	}
-	r := &Runner{cfg: cfg}
 	r.ctxStore, _ = cfg.Store.(ContextStore)
 	if cfg.CoalesceReads {
 		r.flights = newFlightTable()

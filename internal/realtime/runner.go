@@ -178,6 +178,10 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 	reportAt := interval
 	prio := core.PageNormal
 	var deg degradeState
+	// The reads this scan led, and the time they took, up to its last
+	// progress report: what it has already told the manager about read cost.
+	var costedReads int64
+	var costedWait time.Duration
 
 	pageNo := func(i int) int {
 		return spec.StartPage + (pl.Origin-spec.StartPage+i)%length
@@ -220,6 +224,10 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 		done := v + 1
 		if done >= reportAt || done == limit {
 			hook(SiteReport)
+			if reads := res.Misses - costedReads; reads > 0 {
+				cfg.Manager.ObserveReadCost(int(reads), res.ReadWait-costedWait)
+				costedReads, costedWait = res.Misses, res.ReadWait
+			}
 			adv, err := cfg.Manager.ReportProgress(id, done, cfg.Clock.Now())
 			hook(SiteReported)
 			if err != nil {
@@ -245,17 +253,45 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 			}
 			reportAt = done + next
 			if adv.Wait > 0 {
-				cfg.Collector.Throttled(adv.Wait)
-				res.ThrottleWait += adv.Wait
 				hook(SiteThrottle)
-				cfg.Sleep(ctx, adv.Wait)
-				cfg.Tracer.EmitSpan(sc, trace.SpanThrottle, int64(id), int64(spec.Table), adv.Wait)
+				r.throttleWait(ctx, id, sc, spec.Table, adv.Wait, res)
 			}
 		}
 		if pinned {
 			r.releasePage(pid, prio, res)
 		}
 	}
+}
+
+// throttleWait waits out a throttle of at most planned and records how long
+// that took on the runner's clock — the one figure the manager's fairness
+// budget, the collector, the scan result and the throttle span all carry.
+// The scan parks on the manager's wake-up, which fires as soon as the wait
+// has nothing left to achieve; planned is the deadline and ctx the third way
+// out. Under a harness that supplied its own Sleep nothing may block off a
+// hook site, and a virtual sleep has no "sooner": it gets the whole wait.
+func (r *Runner) throttleWait(ctx context.Context, id core.ScanID, sc trace.SpanContext, table core.TableID, planned time.Duration, res *ScanResult) {
+	cfg := &r.cfg
+	t0 := cfg.Clock.Now()
+	if r.virtualSleep {
+		cfg.Sleep(ctx, planned)
+	} else {
+		wake := cfg.Manager.ParkThrottled(id)
+		deadline := time.NewTimer(planned)
+		select {
+		case <-wake:
+		case <-deadline.C:
+		case <-ctx.Done():
+		}
+		deadline.Stop()
+	}
+	waited := cfg.Clock.Now() - t0
+	if err := cfg.Manager.SettleThrottle(id, planned, waited); err != nil && res.Err == nil {
+		res.Err = err
+	}
+	cfg.Collector.Throttled(waited)
+	res.ThrottleWait += waited
+	cfg.Tracer.EmitSpan(sc, trace.SpanThrottle, int64(id), int64(table), waited)
 }
 
 // degradeState tracks one scan's read-failure streak across pages and
@@ -362,8 +398,8 @@ func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanCon
 			r.flights.finish(pid, fl, nil)
 			return data, fetchOK
 		case buffer.Busy:
-			if fl, ok := r.flights.lookup(pid); ok {
-				out, retry := r.waitFlight(ctx, id, sc, pid, fl, res)
+			if fl, done, ok := r.flights.join(pid); ok {
+				out, retry := r.waitFlight(ctx, id, sc, pid, fl, done, res)
 				if retry {
 					continue
 				}
@@ -418,7 +454,7 @@ func (r *Runner) poolSleep(ctx context.Context, id core.ScanID, sc trace.SpanCon
 // records a degraded page (or fails) without duplicating retries, and
 // without touching the pool — exactly one Abort (the leader's) is counted
 // per failed coalesced read.
-func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanContext, pid disk.PageID, fl *flight, res *ScanResult) (out fetchOutcome, retry bool) {
+func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanContext, pid disk.PageID, fl *flight, done <-chan struct{}, res *ScanResult) (out fetchOutcome, retry bool) {
 	cfg := &r.cfg
 	// Counted before blocking, so tests can gate the leader's store read
 	// on the number of joined waiters.
@@ -433,7 +469,7 @@ func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanCo
 	select {
 	case <-ctx.Done():
 		stopped = true
-	case <-fl.done:
+	case <-done:
 	}
 	wait := cfg.Clock.Now() - t0
 	res.PoolWait += wait

@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-fold bench-harness bench-smoke bench-smoke-baseline bench-record
+.PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-fold bench-sim bench-harness bench-smoke bench-smoke-baseline bench-record
 
 # Every target runs in turn and reports its wall time, so a slow gate names
 # the step that made it slow.
@@ -44,9 +44,10 @@ test:
 # oversubscribed GOMAXPROCS — shard, wake-up and singleflight races surface
 # at different parallelism levels. See CONCURRENCY.md for the deterministic
 # seed-replay harness used to debug anything this finds.
-# The experiments run in virtual time, where sim.Kernel lets one goroutine
-# run at a time: the detector has no interleaving to find there, so that
-# package gets one -short pass (the shape tests) instead of two full ones.
+# The experiments run in virtual time, where sim.Kernel's processes are
+# coroutines that hand control to each other directly: the detector has no
+# interleaving to find there, so that package gets one -short pass (the shape
+# tests) instead of two full ones.
 race:
 	$(GO) test -race -short -timeout 30m ./internal/experiments
 	$(GO) test -race -count=2 -timeout 30m $$($(GO) list ./internal/... | grep -v '/internal/experiments$$')
@@ -132,6 +133,12 @@ bench-pool:
 # TestForEachDoesNotAllocate and TestFoldAllocations.
 bench-fold:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodePage|BenchmarkGroupByPage' -benchmem ./internal/heap ./internal/exec
+
+# What one Proc.Sleep costs in the virtual-time kernel: alone (the clock
+# advances in place) and handing over between 2 and 8 processes. The zero
+# allocations are pinned in tier-1 by TestSleepDoesNotAllocate.
+bench-sim:
+	$(GO) test -run '^$$' -bench BenchmarkKernelSleep -benchmem ./internal/sim
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is a module of its own that
 # `./...` does not reach: vet and test the harness, then run every workload

@@ -7,21 +7,26 @@
 //
 // The model is cooperative coroutines over a single virtual timeline:
 //
-//   - A Kernel owns virtual "now" and a min-heap of pending events.
-//   - A Proc is a goroutine spawned through the kernel. Exactly one Proc (or
-//     the kernel itself) runs at any instant; control is handed over
-//     explicitly, so simulated state needs no locking and interleavings are
-//     deterministic (ties on the timeline are broken by spawn/schedule order).
+//   - A Kernel owns virtual "now" and a min-heap of pending events, ordered
+//     by (time, schedule order).
+//   - A Proc is an iter.Pull coroutine: Run resumes it with next(), it
+//     suspends with yield() inside Sleep. iter.Pull runs exactly one side of
+//     a switch at any instant and orders what one side wrote before what the
+//     other does next, so simulated state needs no locking, and a switch is
+//     a direct goroutine hand-off: no channel, no scheduler pass.
 //   - A Proc advances the timeline by calling Sleep. Work is modelled as
-//     "do the state change instantaneously, then Sleep for its cost".
+//     "do the state change instantaneously, then Sleep for its cost". When
+//     the sleeper's own wake-up is the next event anyway, Sleep moves the
+//     clock and returns without switching: dispatch order is the sorted
+//     order of (time, schedule order) either way.
 //
 // This is the classic process-interaction style of discrete-event simulation,
 // restricted to the single primitive (Sleep) that the scan workload needs.
 package sim
 
 import (
-	"container/heap"
 	"fmt"
+	"iter"
 	"time"
 )
 
@@ -33,20 +38,17 @@ import (
 // Spawn and Run must be called either from the goroutine that owns the kernel
 // (before Run / between Runs) or from within a running Proc.
 type Kernel struct {
-	now    time.Duration
-	events eventQueue
-	seq    uint64
-	// yield is signalled by the currently running process when it hands
-	// control back to the scheduler loop.
-	yield   chan struct{}
+	now     time.Duration
+	events  []event // binary min-heap, see event.before
+	seq     uint64
 	running bool
-	live    int // processes spawned and not yet finished
+	live    int     // processes spawned and not yet finished
+	procs   []*Proc // every process spawned since Run last returned
+	current *Proc   // the process Run is resuming; names a panic
 }
 
 // New returns an empty kernel at virtual time zero.
-func New() *Kernel {
-	return &Kernel{yield: make(chan struct{})}
-}
+func New() *Kernel { return &Kernel{} }
 
 // Now returns the current virtual time.
 func (k *Kernel) Now() time.Duration { return k.now }
@@ -55,15 +57,19 @@ func (k *Kernel) Now() time.Duration { return k.now }
 func (k *Kernel) Live() int { return k.live }
 
 // Proc is a simulated process. Its methods must only be called from the
-// goroutine executing the process body.
+// process body's own goroutine: Sleep suspends the coroutine it is called on.
 type Proc struct {
 	k        *Kernel
 	name     string
-	resume   chan struct{}
+	next     func() (struct{}, bool)
+	stop     func()
+	yield    func(struct{}) bool
 	finished bool
 	slept    time.Duration
-	panicked any // non-nil if the body panicked; re-raised by Run
 }
+
+// stopped unwinds the body of a process whose kernel gave up on the run.
+type stopped struct{}
 
 // Name returns the name the process was spawned with.
 func (p *Proc) Name() string { return p.name }
@@ -82,21 +88,21 @@ func (k *Kernel) Spawn(name string, delay time.Duration, fn func(p *Proc)) *Proc
 	if delay < 0 {
 		panic("sim: Spawn with negative delay")
 	}
-	p := &Proc{k: k, name: name, resume: make(chan struct{})}
+	p := &Proc{k: k, name: name}
 	k.live++
-	go func() {
+	k.procs = append(k.procs, p)
+	p.next, p.stop = iter.Pull(func(yield func(struct{}) bool) {
+		p.yield = yield
 		defer func() {
-			// A panicking process must still hand control back, or
-			// the kernel would deadlock; Run re-raises the panic
-			// on its own goroutine.
-			p.panicked = recover()
 			p.finished = true
 			k.live--
-			k.yield <- struct{}{}
+			// A body's own panic goes on to the caller of next(): Run.
+			if r := recover(); r != nil && r != (stopped{}) {
+				panic(r)
+			}
 		}()
-		<-p.resume // wait until the kernel dispatches us for the first time
 		fn(p)
-	}()
+	})
 	k.schedule(p, k.now+delay)
 	return p
 }
@@ -112,42 +118,66 @@ func (p *Proc) Sleep(d time.Duration) {
 	if p.finished {
 		panic("sim: Sleep on finished process")
 	}
+	k := p.k
 	p.slept += d
-	p.k.schedule(p, p.k.now+d)
-	p.k.yield <- struct{}{}
-	<-p.resume
+	at := k.now + d
+	// Nothing would be dispatched before this wake-up, so the round trip
+	// through Run is skipped. An event at the same instant was scheduled
+	// first and must run first, hence strictly earlier.
+	if len(k.events) == 0 || at < k.events[0].at {
+		k.now = at
+		return
+	}
+	k.schedule(p, at)
+	if !p.yield(struct{}{}) {
+		panic(stopped{})
+	}
 }
 
 // Run executes events until no process remains runnable. It returns the
-// virtual time at which the simulation quiesced. Run panics if a process
-// deadlocks the simulation by blocking on anything other than Sleep.
+// virtual time at which the simulation quiesced. If a process panics, Run
+// stops every other process, empties the kernel so that it can be used again,
+// and re-raises the panic under the process's name. A process that blocks on
+// anything other than Sleep blocks Run with it.
 func (k *Kernel) Run() time.Duration {
 	if k.running {
 		panic("sim: Run called reentrantly")
 	}
 	k.running = true
-	defer func() { k.running = false }()
-	for k.events.Len() > 0 {
-		ev := heap.Pop(&k.events).(event)
+	defer func() {
+		r := recover()
+		if r != nil {
+			if k.current != nil {
+				r = fmt.Sprintf("sim: process %q panicked: %v", k.current.name, r)
+			}
+			clear(k.events)
+			k.events = k.events[:0]
+			// A suspended process unwinds through its deferred calls,
+			// one that never started just ends, a finished one ignores it.
+			for _, p := range k.procs {
+				p.stop()
+			}
+		}
+		clear(k.procs)
+		k.procs, k.live, k.current, k.running = k.procs[:0], 0, nil, false
+		if r != nil {
+			panic(r)
+		}
+	}()
+	for len(k.events) > 0 {
+		ev := k.pop()
 		if ev.at < k.now {
 			panic(fmt.Sprintf("sim: event at %v is before now %v", ev.at, k.now))
 		}
 		k.now = ev.at
-		ev.p.resume <- struct{}{}
-		<-k.yield
-		if ev.p.panicked != nil {
-			panic(fmt.Sprintf("sim: process %q panicked: %v", ev.p.name, ev.p.panicked))
-		}
+		k.current = ev.p
+		ev.p.next()
+		k.current = nil
 	}
 	if k.live > 0 {
 		panic(fmt.Sprintf("sim: %d process(es) still live but no events pending", k.live))
 	}
 	return k.now
-}
-
-func (k *Kernel) schedule(p *Proc, at time.Duration) {
-	k.seq++
-	heap.Push(&k.events, event{at: at, seq: k.seq, p: p})
 }
 
 // event is a pending resumption of a process at a point in virtual time.
@@ -158,21 +188,36 @@ type event struct {
 	p   *Proc
 }
 
-type eventQueue []event
-
-func (q eventQueue) Len() int { return len(q) }
-func (q eventQueue) Less(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
+func (e event) before(o event) bool {
+	if e.at != o.at {
+		return e.at < o.at
 	}
-	return q[i].seq < q[j].seq
+	return e.seq < o.seq
 }
-func (q eventQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
-func (q *eventQueue) Push(x any)   { *q = append(*q, x.(event)) }
-func (q *eventQueue) Pop() any {
-	old := *q
-	n := len(old)
-	ev := old[n-1]
-	*q = old[:n-1]
-	return ev
+
+func (k *Kernel) schedule(p *Proc, at time.Duration) {
+	k.seq++
+	q := append(k.events, event{at: at, seq: k.seq, p: p})
+	for i := len(q) - 1; i > 0 && q[i].before(q[(i-1)/2]); i = (i - 1) / 2 {
+		q[i], q[(i-1)/2] = q[(i-1)/2], q[i]
+	}
+	k.events = q
+}
+
+// pop removes and returns the earliest event.
+func (k *Kernel) pop() event {
+	q := k.events
+	top, n := q[0], len(q)-1
+	q[0], q[n] = q[n], event{}
+	for i, c := 0, 1; c < n; i, c = c, 2*c+1 {
+		if c+1 < n && q[c+1].before(q[c]) {
+			c++
+		}
+		if !q[c].before(q[i]) {
+			break
+		}
+		q[i], q[c] = q[c], q[i]
+	}
+	k.events = q[:n]
+	return top
 }

@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"fmt"
+	"runtime"
 	"strings"
 	"testing"
 	"time"
@@ -149,6 +151,20 @@ func TestNegativeSleepPanics(t *testing.T) {
 	}
 }
 
+// runPanics runs k and returns what Run panicked with, as text.
+func runPanics(t *testing.T, k *Kernel) (msg string) {
+	t.Helper()
+	defer func() {
+		r := recover()
+		if r == nil {
+			t.Fatal("Run did not panic")
+		}
+		msg = fmt.Sprint(r)
+	}()
+	k.Run()
+	return ""
+}
+
 func TestProcessPanicPropagatesToRun(t *testing.T) {
 	k := New()
 	k.Spawn("ok", 0, func(p *Proc) { p.Sleep(time.Millisecond) })
@@ -156,16 +172,145 @@ func TestProcessPanicPropagatesToRun(t *testing.T) {
 		p.Sleep(time.Millisecond)
 		panic("kaboom")
 	})
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("Run did not re-raise the process panic")
+	if msg := runPanics(t, k); !strings.Contains(msg, "kaboom") || !strings.Contains(msg, `"boom"`) {
+		t.Errorf("panic value = %q, want process name and message", msg)
+	}
+}
+
+// goroutinesReturnTo waits for the goroutine count to fall back to want: a
+// stopped coroutine's goroutine is gone by the time stop returns, but other
+// tests' finished goroutines may still be on their way out.
+func goroutinesReturnTo(t *testing.T, want int) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > want && time.Now().Before(deadline) {
+		runtime.Gosched()
+	}
+	if got := runtime.NumGoroutine(); got > want {
+		t.Errorf("%d goroutines, want %d: a process outlived its Run", got, want)
+	}
+}
+
+// checkFreshRun runs a new pair of processes on a kernel that has just given
+// up on a run, and checks they see a clean timeline.
+func checkFreshRun(t *testing.T, k *Kernel) {
+	t.Helper()
+	start := k.Now()
+	var trace []string
+	for _, name := range []string{"a", "b"} {
+		k.Spawn(name, 0, func(p *Proc) {
+			for i := 0; i < 2; i++ {
+				trace = append(trace, fmt.Sprint(name, p.Now()-start))
+				p.Sleep(time.Millisecond)
+			}
+		})
+	}
+	if end := k.Run(); end != start+2*time.Millisecond {
+		t.Errorf("fresh run ended at %v, want %v", end, start+2*time.Millisecond)
+	}
+	if got, want := strings.Join(trace, " "), "a0s b0s a1ms b1ms"; got != want {
+		t.Errorf("fresh run dispatched %q, want %q: stale events survived", got, want)
+	}
+	if k.Live() != 0 {
+		t.Errorf("Live = %d after the fresh run", k.Live())
+	}
+}
+
+func TestProcessPanicStopsTheRest(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New()
+	unwound := 0
+	for i := 0; i < 3; i++ {
+		k.Spawn("sleeper", 0, func(p *Proc) {
+			defer func() { unwound++ }()
+			for {
+				p.Sleep(time.Millisecond)
+			}
+		})
+	}
+	k.Spawn("done-early", 0, func(p *Proc) {})
+	k.Spawn("never-started", time.Hour, func(p *Proc) { t.Error("a process started after the panic") })
+	k.Spawn("boom", 0, func(p *Proc) {
+		p.Sleep(5 * time.Millisecond)
+		panic("kaboom")
+	})
+	runPanics(t, k)
+	if unwound != 3 {
+		t.Errorf("%d of 3 suspended processes ran their deferred calls", unwound)
+	}
+	if k.Live() != 0 {
+		t.Errorf("Live = %d after the panic", k.Live())
+	}
+	goroutinesReturnTo(t, before)
+	checkFreshRun(t, k)
+}
+
+func TestLiveWithoutEventsStopsTheRest(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New()
+	k.Spawn("lost", 0, func(p *Proc) { t.Error("a process without an event ran") })
+	k.events = k.events[:0] // cannot happen through the API
+	if msg := runPanics(t, k); !strings.Contains(msg, "still live") {
+		t.Errorf("panic value %q", msg)
+	}
+	if k.Live() != 0 {
+		t.Errorf("Live = %d after the panic", k.Live())
+	}
+	goroutinesReturnTo(t, before)
+	checkFreshRun(t, k)
+}
+
+func TestSleepDoesNotAllocate(t *testing.T) {
+	for _, peers := range []int{0, 1} {
+		k := New()
+		done, peerWakeups := false, 0
+		for i := 0; i < peers; i++ {
+			k.Spawn("peer", 0, func(p *Proc) {
+				for !done {
+					p.Sleep(time.Microsecond)
+					peerWakeups++
+				}
+			})
 		}
-		if msg, ok := r.(string); !ok || !strings.Contains(msg, "kaboom") || !strings.Contains(msg, "boom") {
-			t.Errorf("panic value = %v, want process name and message", r)
-		}
-	}()
-	k.Run()
+		k.Spawn("measured", 0, func(p *Proc) {
+			const runs = 1000
+			allocs := testing.AllocsPerRun(runs, func() { p.Sleep(time.Microsecond) })
+			done = true
+			if allocs != 0 {
+				t.Errorf("%d peer(s): %v allocs per Sleep, want 0", peers, allocs)
+			}
+			// With a peer on the same step every wake-up ties with the
+			// queue's head, so each Sleep must have handed over.
+			if peerWakeups < peers*runs {
+				t.Errorf("%d peer(s): %d hand-overs in %d sleeps", peers, peerWakeups, runs)
+			}
+		})
+		k.Run()
+	}
+}
+
+// BenchmarkKernelSleep prices one Sleep. Alone, the sleeper is always next
+// and the clock advances in place; with peers on the same step every wake-up
+// ties with the queue's head and costs a switch to Run and one to the peer.
+func BenchmarkKernelSleep(b *testing.B) {
+	for _, bc := range []struct {
+		name  string
+		procs int
+	}{{"alone", 1}, {"handoff2", 2}, {"handoff8", 8}} {
+		b.Run(bc.name, func(b *testing.B) {
+			b.ReportAllocs()
+			k := New()
+			left := b.N
+			for i := 0; i < bc.procs; i++ {
+				k.Spawn("sleeper", 0, func(p *Proc) {
+					for ; left > 0; left-- {
+						p.Sleep(time.Microsecond)
+					}
+				})
+			}
+			k.Run()
+		})
+	}
 }
 
 func TestClockTracksKernel(t *testing.T) {

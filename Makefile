@@ -21,10 +21,16 @@ check:
 vet:
 	$(GO) vet ./...
 
-# Deeper static analysis when staticcheck is installed; falls back to an
-# extended vet configuration otherwise so `make check` works on a bare
-# toolchain.
+# gofmt over both modules (the root and benchmark/; .bench_build/ holds the
+# benchmark's build cache, not sources): any file it would rewrite fails the
+# target. Then deeper static analysis when staticcheck is installed; falls
+# back to an extended vet configuration otherwise so `make check` works on a
+# bare toolchain.
 lint:
+	@unformatted=$$(gofmt -l $$(find . -name '*.go' -not -path './.bench_build/*')); \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt would rewrite:"; echo "$$unformatted"; exit 1; \
+	fi
 	@if command -v staticcheck >/dev/null 2>&1; then \
 		echo staticcheck ./...; staticcheck ./...; \
 	else \
@@ -135,8 +141,10 @@ bench-fold:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodePage|BenchmarkGroupByPage' -benchmem ./internal/heap ./internal/exec
 
 # What one Proc.Sleep costs in the virtual-time kernel: alone (the clock
-# advances in place) and handing over between 2 and 8 processes. The zero
-# allocations are pinned in tier-1 by TestSleepDoesNotAllocate.
+# advances in place) and handing over between 2 and 8 processes; and what one
+# period of a Proc.Poll costs whose condition Run checks without resuming the
+# poller (poll). The zero allocations are pinned in tier-1 by
+# TestSleepDoesNotAllocate and TestPollDoesNotAllocate.
 bench-sim:
 	$(GO) test -run '^$$' -bench BenchmarkKernelSleep -benchmem ./internal/sim
 

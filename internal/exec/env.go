@@ -13,10 +13,21 @@
 //     manager throttles it, and releases pages at the priority the manager
 //     advises.
 //
+// Both work page at a time. A scan decodes only the columns its plan reads
+// (TableScan.Columns, compiled by the planner), and an Aggregate over a scan
+// — directly or through one Filter — decodes, filters and folds each page in
+// one loop, foldPage, the same loop the private GroupByConsumer runs on a
+// delivered page. A plan whose reads are unknown, such as one under an
+// opaque predicate, decodes every column and pulls tuples through the
+// operators one at a time. A scan waiting for a page another scan is still
+// reading polls the pool through sim.Proc.Poll, so the kernel asks on its
+// behalf and resumes it only with a hit or a miss.
+//
 // Every unit of simulated work — CPU per tuple batch, latency per physical
 // read, wait per throttle — is charged to the process's virtual clock and to
 // the query's accounting record, so experiments can report the same
-// user/wait time decomposition the paper measures with iostat.
+// user/wait time decomposition the paper measures with iostat. What a scan
+// decodes and how it folds charge nothing.
 package exec
 
 import (
@@ -122,6 +133,14 @@ type Env struct {
 	UpdateEveryPages int
 
 	Acct Acct
+
+	// retry is retryAcquire as a func value, made on the first wait so
+	// that a wait allocates nothing; the wait* fields are its page and
+	// the pool's last answer.
+	retry      func() bool
+	waitPage   disk.PageID
+	waitStatus buffer.Status
+	waitData   []byte
 }
 
 // Validate reports whether the environment is usable.
@@ -177,41 +196,54 @@ func (e *Env) chargeThrottle(d time.Duration) {
 // while another scan's read of the same page is in flight. The returned
 // bytes are valid until the page is released and must not be modified.
 func (e *Env) fetchPage(pid disk.PageID) ([]byte, error) {
-	for {
-		st, data := e.Pool.Acquire(pid)
-		switch st {
-		case buffer.Hit:
-			e.Acct.LogicalReads++
-			return data, nil
-		case buffer.Miss:
-			e.Acct.LogicalReads++
-			e.Acct.PhysicalReads++
-			data, latency, err := e.Device.Read(e.now(), pid)
-			if err != nil {
-				e.Pool.Abort(pid)
-				return nil, err
-			}
-			// Model the I/O in flight: time passes before the
-			// frame becomes valid, and concurrent requesters see
-			// Busy until then.
-			e.Proc.Sleep(latency)
-			e.Acct.IO += latency
-			if err := e.Pool.Fill(pid, data); err != nil {
-				return nil, err
-			}
-			return data, nil
-		case buffer.Busy, buffer.AllPinned:
-			// AllPinned gets the same retry as Busy here: simulated
-			// processes only unpin when they run, virtual time is
-			// free, and the next release makes the retry succeed.
-			// (The realtime runner, where waiting costs wall time,
-			// backs off much longer for AllPinned.)
-			e.Proc.Sleep(e.BusyRetryDelay)
-			e.Acct.Busy += e.BusyRetryDelay
-		default:
-			return nil, fmt.Errorf("exec: unexpected acquire status %v", st)
+	st, data := e.Pool.Acquire(pid)
+	if st == buffer.Busy || st == buffer.AllPinned {
+		// Re-request the page every BusyRetryDelay. The kernel asks the
+		// pool on the process's behalf and resumes it with a hit or a
+		// miss. AllPinned gets the same retry as Busy here: simulated
+		// processes only unpin when they run, virtual time is free, and
+		// the next release makes the retry succeed. (The realtime runner,
+		// where waiting costs wall time, backs off much longer for
+		// AllPinned.)
+		if e.retry == nil {
+			e.retry = e.retryAcquire
 		}
+		e.waitPage = pid
+		e.Proc.Poll(e.BusyRetryDelay, e.retry)
+		st, data = e.waitStatus, e.waitData
+		e.waitData = nil
 	}
+	switch st {
+	case buffer.Hit:
+		e.Acct.LogicalReads++
+		return data, nil
+	case buffer.Miss:
+		e.Acct.LogicalReads++
+		e.Acct.PhysicalReads++
+		data, latency, err := e.Device.Read(e.now(), pid)
+		if err != nil {
+			e.Pool.Abort(pid)
+			return nil, err
+		}
+		// Model the I/O in flight: time passes before the frame
+		// becomes valid, and concurrent requesters see Busy until then.
+		e.Proc.Sleep(latency)
+		e.Acct.IO += latency
+		if err := e.Pool.Fill(pid, data); err != nil {
+			return nil, err
+		}
+		return data, nil
+	default:
+		return nil, fmt.Errorf("exec: unexpected acquire status %v", st)
+	}
+}
+
+// retryAcquire is fetchPage's poll condition: one back-off period has
+// passed, ask the pool for waitPage again.
+func (e *Env) retryAcquire() bool {
+	e.Acct.Busy += e.BusyRetryDelay
+	e.waitStatus, e.waitData = e.Pool.Acquire(e.waitPage)
+	return e.waitStatus != buffer.Busy && e.waitStatus != buffer.AllPinned
 }
 
 // releasePage returns a pinned page to the pool at the given SSM hint.

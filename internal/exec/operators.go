@@ -6,6 +6,7 @@ import (
 	"math"
 	"sort"
 
+	"scanshare/internal/heap"
 	"scanshare/internal/record"
 )
 
@@ -212,20 +213,73 @@ func (a *Aggregate) Next() (record.Tuple, bool, error) {
 
 func (a *Aggregate) run() error {
 	tb := newAggTable(a.GroupBy, a.Aggs)
-	for {
-		t, ok, err := a.Input.Next()
-		if err != nil {
-			return err
+	if scan, pred := pageInput(a.Input); scan != nil {
+		var scratch record.Tuple
+		for {
+			view, ok, err := scan.nextPage()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if scratch, err = foldPage(tb, view, pred, scratch); err != nil {
+				return err
+			}
 		}
-		if !ok {
-			break
-		}
-		if err := tb.fold(t); err != nil {
-			return err
+	} else {
+		for {
+			t, ok, err := a.Input.Next()
+			if err != nil {
+				return err
+			}
+			if !ok {
+				break
+			}
+			if err := tb.fold(t); err != nil {
+				return err
+			}
 		}
 	}
 	a.results = tb.rows()
 	return nil
+}
+
+// pageInput returns the scan and the predicate of an input the aggregation
+// can fold a page at a time: a TableScan whose column set the planner
+// compiled, alone or under one Filter. For any other input — a scan left to
+// decode every column for an opaque predicate among them — it returns nil,
+// and the input is pulled a tuple at a time.
+func pageInput(in Operator) (*TableScan, func(record.Tuple) bool) {
+	var pred func(record.Tuple) bool
+	if f, ok := in.(*Filter); ok {
+		in, pred = f.Input, f.Pred
+	}
+	if scan, ok := in.(*TableScan); ok && scan.Columns.Schema() != nil {
+		return scan, pred
+	}
+	return nil, nil
+}
+
+// foldPage is the page-at-a-time loop under the Aggregate operator and the
+// private GroupByConsumer: decode each tuple of the page, keep it if pred
+// does (or pred is nil), fold it into tb — no iterator between the three.
+// scratch is the decode buffer, returned for the next page.
+func foldPage(tb *aggTable, view heap.PageView, pred func(record.Tuple) bool, scratch record.Tuple) (record.Tuple, error) {
+	for i := 0; i < view.NumTuples(); i++ {
+		t, err := view.Tuple(scratch, i)
+		if err != nil {
+			return scratch, err
+		}
+		scratch = t
+		if pred != nil && !pred(t) {
+			continue
+		}
+		if err := tb.fold(t); err != nil {
+			return scratch, err
+		}
+	}
+	return scratch, nil
 }
 
 // aggTable is the hash-aggregation core under the Aggregate operator, the
@@ -234,11 +288,11 @@ func (a *Aggregate) run() error {
 //
 // Group state lives in two slabs indexed by group number, so a new group
 // costs its map key and nothing else, and folding into an existing group
-// allocates nothing.
+// allocates nothing. An ungrouped table has one group, number 0, and no map.
 type aggTable struct {
 	groupBy []int
 	aggs    []AggSpec
-	groups  map[string]int // encoded group key -> group number
+	groups  map[string]int // encoded group key -> group number; nil when ungrouped
 	keys    []record.Value // len(groupBy) values per group, owned (cloned)
 	cells   []aggCell      // len(aggs) cells per group
 	keyBuf  []byte
@@ -252,7 +306,11 @@ type aggCell struct {
 }
 
 func newAggTable(groupBy []int, aggs []AggSpec) *aggTable {
-	return &aggTable{groupBy: groupBy, aggs: aggs, groups: make(map[string]int)}
+	tb := &aggTable{groupBy: groupBy, aggs: aggs}
+	if len(groupBy) > 0 {
+		tb.groups = make(map[string]int)
+	}
+	return tb
 }
 
 // appendGroupKey appends the encoding of t's group-by values to dst.
@@ -268,6 +326,9 @@ func appendGroupKey(dst []byte, groupBy []int, t record.Tuple) ([]byte, error) {
 
 // fold accumulates one input tuple into its group.
 func (tb *aggTable) fold(t record.Tuple) error {
+	if len(tb.groupBy) == 0 {
+		return tb.foldKeyed(nil, t)
+	}
 	key, err := appendGroupKey(tb.keyBuf[:0], tb.groupBy, t)
 	tb.keyBuf = key
 	if err != nil {
@@ -281,8 +342,14 @@ func (tb *aggTable) fold(t record.Tuple) error {
 // tuple. t may view memory the caller reuses (a decoded page): what the table
 // keeps of it — group keys, MIN/MAX values — is cloned.
 func (tb *aggTable) foldKeyed(key []byte, t record.Tuple) error {
-	g, ok := tb.groups[string(key)]
-	if !ok {
+	g := 0
+	if tb.groups == nil {
+		if len(tb.cells) == 0 {
+			tb.cells = make([]aggCell, len(tb.aggs))
+		}
+	} else if n, ok := tb.groups[string(key)]; ok {
+		g = n
+	} else {
 		g = len(tb.groups)
 		tb.groups[string(key)] = g
 		for _, ord := range tb.groupBy {
@@ -330,30 +397,41 @@ type keyedRow struct {
 // appendRows appends one finished row per group to dst, in no particular
 // order.
 func (tb *aggTable) appendRows(dst []keyedRow) []keyedRow {
-	nk, na := len(tb.groupBy), len(tb.aggs)
-	for key, g := range tb.groups {
-		row := make(record.Tuple, 0, nk+na)
-		row = append(row, tb.keys[g*nk:][:nk]...)
-		for i, spec := range tb.aggs {
-			c := &tb.cells[g*na+i]
-			switch spec.Kind {
-			case AggCount:
-				row = append(row, record.Int64(c.count))
-			case AggSum:
-				row = append(row, record.Float64(c.sum))
-			case AggAvg:
-				avg := 0.0
-				if c.count > 0 {
-					avg = c.sum / float64(c.count)
-				}
-				row = append(row, record.Float64(avg))
-			case AggMin, AggMax:
-				row = append(row, c.ext)
-			}
+	if tb.groups == nil {
+		if len(tb.cells) > 0 {
+			dst = append(dst, keyedRow{"", tb.row(0)})
 		}
-		dst = append(dst, keyedRow{key, row})
+		return dst
+	}
+	for key, g := range tb.groups {
+		dst = append(dst, keyedRow{key, tb.row(g)})
 	}
 	return dst
+}
+
+// row builds the finished result row of group g.
+func (tb *aggTable) row(g int) record.Tuple {
+	nk, na := len(tb.groupBy), len(tb.aggs)
+	row := make(record.Tuple, 0, nk+na)
+	row = append(row, tb.keys[g*nk:][:nk]...)
+	for i, spec := range tb.aggs {
+		c := &tb.cells[g*na+i]
+		switch spec.Kind {
+		case AggCount:
+			row = append(row, record.Int64(c.count))
+		case AggSum:
+			row = append(row, record.Float64(c.sum))
+		case AggAvg:
+			avg := 0.0
+			if c.count > 0 {
+				avg = c.sum / float64(c.count)
+			}
+			row = append(row, record.Float64(avg))
+		case AggMin, AggMax:
+			row = append(row, c.ext)
+		}
+	}
+	return row
 }
 
 // rows finalizes the table: one row per group, sorted by key encoding.

@@ -1,7 +1,10 @@
 package exec
 
 import (
+	"bytes"
+	"fmt"
 	"testing"
+	"time"
 
 	"scanshare/internal/record"
 	"scanshare/internal/sim"
@@ -163,6 +166,75 @@ func TestAggregateGrouped(t *testing.T) {
 		if row[1].I != 1 {
 			t.Errorf("group %v count = %d, want 1", row[0], row[1].I)
 		}
+	}
+}
+
+// TestAggregatePageLoopMatchesTupleLoop: an aggregate over a scan with a
+// compiled column set folds it a page at a time; over the same scan left to
+// decode every column it pulls tuples through Filter.Next. Three concurrent
+// queries, two of them sharing scans that wait on each other's reads, return
+// the same rows and the same accounting either way: what a scan decodes
+// changes no virtual time.
+func TestAggregatePageLoopMatchesTupleLoop(t *testing.T) {
+	plans := []struct {
+		shared  bool
+		reads   []int
+		groupBy []int
+		aggs    []AggSpec
+	}{
+		{false, []int{0, 1}, nil, []AggSpec{{Kind: AggCount}, {Kind: AggSum, Ordinal: 1}, {Kind: AggMin, Ordinal: 0}, {Kind: AggAvg, Ordinal: 1}}},
+		{true, []int{0, 2}, []int{2}, []AggSpec{{Kind: AggCount}, {Kind: AggMax, Ordinal: 0}}},
+		{true, []int{0, 1}, nil, []AggSpec{{Kind: AggMax, Ordinal: 1}}},
+	}
+	run := func(compiled bool) []*result {
+		f := newFixture(t, 12)
+		var results []*result
+		for i, pl := range plans {
+			var cols record.Columns
+			if compiled {
+				var err error
+				if cols, err = record.SelectColumns(f.tbl.Schema(), pl.reads...); err != nil {
+					t.Fatal(err)
+				}
+			}
+			results = append(results, f.spawn(fmt.Sprint("q", i), time.Duration(i)*time.Millisecond, pl.shared, func() Operator {
+				scan := f.scan(pl.shared, 1)
+				scan.Columns = cols
+				pred := func(tup record.Tuple) bool { return tup[0].I%3 != 0 }
+				return &Aggregate{Input: &Filter{Input: scan, Pred: pred}, GroupBy: pl.groupBy, Aggs: pl.aggs}
+			}))
+		}
+		f.k.Run()
+		return results
+	}
+	got, want := run(true), run(false)
+	for i := range want {
+		if got[i].err != nil || want[i].err != nil {
+			t.Fatal(got[i].err, want[i].err)
+		}
+		if !bytes.Equal(EncodeRows(got[i].rows), EncodeRows(want[i].rows)) {
+			t.Errorf("q%d: page loop rows %v, tuple loop %v", i, got[i].rows, want[i].rows)
+		}
+		if got[i].acct != want[i].acct || got[i].took != want[i].took {
+			t.Errorf("q%d: page loop %+v in %v, tuple loop %+v in %v", i, got[i].acct, got[i].took, want[i].acct, want[i].took)
+		}
+	}
+	if want[1].acct.Busy == 0 && want[2].acct.Busy == 0 {
+		t.Error("no query waited on a read in flight: the poll path went untested")
+	}
+}
+
+func TestScanRejectsColumnsOfAnotherSchema(t *testing.T) {
+	f := newFixture(t, 12)
+	other := record.MustSchema(record.Field{Name: "x", Kind: record.KindInt64})
+	res := f.spawn("q", 0, false, func() Operator {
+		scan := f.scan(false, 1)
+		scan.Columns = record.AllColumns(other)
+		return scan
+	})
+	f.k.Run()
+	if res.err == nil {
+		t.Error("a column set of another schema was accepted")
 	}
 }
 

@@ -25,8 +25,8 @@ type Operator interface {
 	Close() error
 }
 
-// TableScan reads a page range of a heap table and emits its tuples, every
-// column decoded, varchars as views into the page (see Operator).
+// TableScan reads a page range of a heap table and emits its tuples, the
+// columns in Columns decoded, varchars as views into the page (see Operator).
 //
 // With Shared=false it behaves like a classic scanner: front-to-back reads,
 // default release priority. With Shared=true and a non-nil env.SSM, it
@@ -34,9 +34,18 @@ type Operator interface {
 // places it (wrapping around the end of its range), reports progress at
 // extent granularity, sleeps through throttle advice, and releases pages at
 // the advised priority.
+//
+// Which columns it decodes never changes what it reads, charges or reports:
+// the virtual-time cost of a scan is a function of its pages and CPUWeight.
 type TableScan struct {
 	Table   *heap.Table
 	TableID core.TableID
+	// Columns is the set of columns the plan above the scan reads,
+	// compiled by the planner; the other columns of each tuple read as
+	// zero values. The zero value decodes every column, for operators
+	// above whose reads are unknown. An Aggregate folds a scan with a
+	// compiled set, directly or through one Filter, a page at a time.
+	Columns record.Columns
 	// StartPage and EndPage restrict the scan to [StartPage, EndPage) in
 	// table-relative pages; EndPage == 0 means the end of the table.
 	StartPage, EndPage int
@@ -54,6 +63,7 @@ type TableScan struct {
 	Importance core.Importance
 
 	env      *Env
+	cols     record.Columns // Columns, or every column
 	scanID   core.ScanID
 	origin   int // first page of the wrap-around order
 	start    int
@@ -61,7 +71,6 @@ type TableScan struct {
 	visited  int // pages processed so far
 	pageView heap.PageView
 	pageIdx  int // next tuple on the current page
-	havePage bool
 	scratch  record.Tuple
 	opened   bool
 	sharing  bool
@@ -83,6 +92,12 @@ func (t *TableScan) Open(env *Env) error {
 	}
 	if t.CPUWeight < 0 {
 		return fmt.Errorf("exec: negative CPUWeight %g", t.CPUWeight)
+	}
+	t.cols = t.Columns
+	if t.cols.Schema() == nil {
+		t.cols = record.AllColumns(t.Table.Schema())
+	} else if t.cols.Schema() != t.Table.Schema() {
+		return fmt.Errorf("exec: scan of %q decodes columns of another schema", t.Table.Name())
 	}
 	t.env = env
 	t.start = t.StartPage
@@ -154,46 +169,58 @@ func (t *TableScan) Next() (record.Tuple, bool, error) {
 	if !t.opened {
 		return nil, false, fmt.Errorf("exec: Next on unopened scan")
 	}
-	for {
-		if t.havePage {
-			if t.pageIdx < t.pageView.NumTuples() {
-				tup, err := t.pageView.Tuple(t.scratch, t.pageIdx)
-				if err != nil {
-					return nil, false, err
-				}
-				t.scratch = tup
-				t.pageIdx++
-				t.env.Acct.TuplesRead++
-				return tup, true, nil
-			}
-			t.havePage = false
-		}
-		if t.visited >= t.end-t.start {
-			return nil, false, nil
-		}
-		if err := t.loadNextPage(); err != nil {
+	for t.pageIdx >= t.pageView.NumTuples() {
+		view, ok, err := t.loadNextPage()
+		if err != nil || !ok {
 			return nil, false, err
 		}
+		t.pageView, t.pageIdx = view, 0
 	}
+	tup, err := t.pageView.Tuple(t.scratch, t.pageIdx)
+	if err != nil {
+		return nil, false, err
+	}
+	t.scratch = tup
+	t.pageIdx++
+	t.env.Acct.TuplesRead++
+	return tup, true, nil
+}
+
+// nextPage is Next a page at a time, for a consumer that decodes and folds
+// the page's tuples in one loop: it loads the next page in scan order and
+// returns it, and its tuples count as read. ok is false at the end of the
+// scan. Do not mix it with Next on one scan.
+func (t *TableScan) nextPage() (view heap.PageView, ok bool, err error) {
+	if !t.opened {
+		return heap.PageView{}, false, fmt.Errorf("exec: nextPage on unopened scan")
+	}
+	view, ok, err = t.loadNextPage()
+	if ok {
+		t.env.Acct.TuplesRead += int64(view.NumTuples())
+	}
+	return view, ok, err
 }
 
 // loadNextPage fetches the next page in scan order, charges its processing
 // cost, releases it at the advised priority, and — in sharing mode —
-// reports progress and applies throttle advice at extent boundaries.
-func (t *TableScan) loadNextPage() error {
-	pageNo := t.pageNo(t.visited)
-	pid, err := t.Table.PageID(pageNo)
+// reports progress and applies throttle advice at extent boundaries. ok is
+// false once every page has been visited.
+func (t *TableScan) loadNextPage() (heap.PageView, bool, error) {
+	if t.visited >= t.end-t.start {
+		return heap.PageView{}, false, nil
+	}
+	pid, err := t.Table.PageID(t.pageNo(t.visited))
 	if err != nil {
-		return err
+		return heap.PageView{}, false, err
 	}
 	data, err := t.env.fetchPage(pid)
 	if err != nil {
-		return err
+		return heap.PageView{}, false, err
 	}
-	view, err := heap.View(t.Table.Schema(), data)
+	view, err := heap.ViewColumns(t.cols, data)
 	if err != nil {
 		t.env.releasePage(pid, t.priority)
-		return err
+		return heap.PageView{}, false, err
 	}
 
 	// Charge the page's processing cost up front, at page granularity:
@@ -207,7 +234,7 @@ func (t *TableScan) loadNextPage() error {
 		adv, err := t.env.SSM.ReportProgress(t.scanID, t.visited, t.env.now())
 		if err != nil {
 			t.env.releasePage(pid, t.priority)
-			return err
+			return heap.PageView{}, false, err
 		}
 		t.priority = adv.Priority
 		next := adv.NextReportPages
@@ -221,12 +248,9 @@ func (t *TableScan) loadNextPage() error {
 	}
 
 	if err := t.env.releasePage(pid, t.priority); err != nil {
-		return err
+		return heap.PageView{}, false, err
 	}
-	t.pageView = view
-	t.pageIdx = 0
-	t.havePage = true
-	return nil
+	return view, true, nil
 }
 
 // Close deregisters a sharing scan from the SSM. It is safe to call on a

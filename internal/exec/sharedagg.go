@@ -207,6 +207,10 @@ func (c *GroupByConsumer) OnPage(pageNo int, data []byte) {
 		return
 	}
 	c.pages++
+	if c.Shared == nil {
+		c.scratch, c.err = foldPage(c.local, view, c.Pred, c.scratch)
+		return
+	}
 	var folded int64
 	var held *aggStripe // the shared stripe the previous fold left locked
 	for i := 0; i < view.NumTuples(); i++ {
@@ -223,21 +227,14 @@ func (c *GroupByConsumer) OnPage(pageNo int, data []byte) {
 				continue
 			}
 		}
-		if c.Shared != nil {
-			err = c.Shared.fold(&held, t)
-		} else {
-			err = c.local.fold(t)
-		}
-		if err != nil {
+		if err = c.Shared.fold(&held, t); err != nil {
 			c.err = err
 			break
 		}
 		folded++
 	}
 	held.release()
-	if c.Shared != nil {
-		c.Shared.folds.Add(folded)
-	}
+	c.Shared.folds.Add(folded)
 }
 
 // Pages returns how many pages the consumer folded.

@@ -131,6 +131,62 @@ func TestSelectColumnsValidation(t *testing.T) {
 	}
 }
 
+// TestColumnSetsDoNotAllocate: a column set is a schema pointer and a mask,
+// so compiling one per query, by ordinal or by name, costs nothing on the heap.
+func TestColumnSetsDoNotAllocate(t *testing.T) {
+	s := testSchema(t)
+	ords := []int{3, 0, 3}
+	names := []string{"id", "comment"}
+	var c Columns
+	if got := testing.AllocsPerRun(100, func() {
+		a, err := SelectColumns(s, ords...)
+		b, err2 := SelectNamed(s, names...)
+		if err != nil || err2 != nil {
+			t.Fatal(err, err2)
+		}
+		c = a.Union(b).With(1)
+	}); got != 0 {
+		t.Errorf("building a column set allocates %v times, want 0", got)
+	}
+	for ord := 0; ord < s.NumFields(); ord++ {
+		if !c.Reads(ord) {
+			t.Errorf("union of {0, 3}, {id, comment} and 1 does not read field %d", ord)
+		}
+	}
+	if _, err := SelectNamed(s, "id", "nope"); err == nil {
+		t.Error("unknown name accepted")
+	}
+}
+
+// TestWideSchemaReadsEverything: past 64 fields the mask has no room, so any
+// set of such a schema decodes every field.
+func TestWideSchemaReadsEverything(t *testing.T) {
+	fields := make([]Field, 70)
+	row := make(Tuple, len(fields))
+	for i := range fields {
+		fields[i] = Field{Name: fmt.Sprintf("c%d", i), Kind: KindInt64}
+		row[i] = Int64(int64(i + 1))
+	}
+	s := MustSchema(fields...)
+	cols, err := SelectColumns(s, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	buf, err := Encode(nil, s, row)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, _, err := cols.Decode(nil, buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, v := range got {
+		if v != row[i] || !cols.Reads(i) {
+			t.Fatalf("field %d = %#v (read: %v), want %#v", i, v, cols.Reads(i), row[i])
+		}
+	}
+}
+
 // TestDecodeHugeVarcharLength: a length prefix near 2^64 used to wrap the
 // bounds check negative and panic in the slice expression.
 func TestDecodeHugeVarcharLength(t *testing.T) {

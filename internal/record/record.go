@@ -22,6 +22,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"math/bits"
 	"strings"
 	"unsafe"
 )
@@ -66,6 +67,10 @@ type Field struct {
 type Schema struct {
 	fields []Field
 	index  map[string]int
+	// fixed counts the fields ahead of the first varchar, at most 64. They
+	// are all 8 bytes wide, so field i < fixed sits at byte 8*i of every
+	// tuple.
+	fixed int
 }
 
 // NewSchema builds a schema from fields. Field names must be unique and
@@ -86,6 +91,9 @@ func NewSchema(fields ...Field) (*Schema, error) {
 			return nil, fmt.Errorf("record: duplicate field name %q", f.Name)
 		}
 		s.index[f.Name] = i
+	}
+	for s.fixed < min(len(fields), 64) && fields[s.fixed].Kind != KindString {
+		s.fixed++
 	}
 	return s, nil
 }
@@ -279,47 +287,67 @@ func uvarintLen(x uint64) int {
 	return n
 }
 
-// Columns is a decode plan: which fields of a schema a query reads. It is
-// compiled once per query and is two words to copy. Ordinals keep their
-// meaning under any column set — a decoded tuple always has NumFields values,
-// and a field the set leaves out reads as the zero Value of its kind.
+// Columns is a decode plan: which fields of a schema a query reads. It is a
+// value with no heap part — the schema and a bit mask — so building, copying
+// and widening one allocates nothing. Ordinals keep their meaning under any
+// column set — a decoded tuple always has NumFields values, and a field the
+// set leaves out reads as the zero Value of its kind.
+//
+// A schema wider than 64 fields has no room in the mask: every set of it
+// reads every field, which is correct and only slower.
 type Columns struct {
 	schema *Schema
-	sel    *selection // nil reads every field
+	mask   uint64 // bit i: field i is read; all ones: every field
 }
 
-// selection is the compiled form of a proper subset of the fields.
-type selection struct {
-	want []bool // want[i]: field i is read
-	// fixed counts the fields ahead of the first varchar. They are all 8
-	// bytes wide, so field i < fixed sits at byte 8*i of every tuple;
-	// prefix lists the ones that are read.
-	fixed  int
-	prefix []int
-}
-
-// AllColumns is the column set that reads every field of s. It allocates
-// nothing, so it can be built per page.
-func AllColumns(s *Schema) Columns { return Columns{schema: s} }
+// AllColumns is the column set that reads every field of s.
+func AllColumns(s *Schema) Columns { return Columns{schema: s, mask: ^uint64(0)} }
 
 // SelectColumns compiles the column set that reads the given ordinals of s
 // (in any order, repeats allowed).
 func SelectColumns(s *Schema, ordinals ...int) (Columns, error) {
-	sel := &selection{want: make([]bool, len(s.fields))}
+	c := Columns{schema: s}
 	for _, ord := range ordinals {
 		if ord < 0 || ord >= len(s.fields) {
 			return Columns{}, fmt.Errorf("record: column ordinal %d out of range [0,%d)", ord, len(s.fields))
 		}
-		sel.want[ord] = true
+		c = c.With(ord)
 	}
-	for sel.fixed < len(s.fields) && s.fields[sel.fixed].Kind != KindString {
-		if sel.want[sel.fixed] {
-			sel.prefix = append(sel.prefix, sel.fixed)
-		}
-		sel.fixed++
-	}
-	return Columns{schema: s, sel: sel}, nil
+	return c, nil
 }
+
+// SelectNamed is SelectColumns for fields given by name.
+func SelectNamed(s *Schema, names ...string) (Columns, error) {
+	c := Columns{schema: s}
+	for _, name := range names {
+		ord, err := s.Ordinal(name)
+		if err != nil {
+			return Columns{}, err
+		}
+		c = c.With(ord)
+	}
+	return c, nil
+}
+
+// With returns c widened by field ord, an ordinal of c's schema.
+func (c Columns) With(ord int) Columns {
+	if len(c.schema.fields) > 64 {
+		c.mask = ^uint64(0)
+	} else {
+		c.mask |= 1 << ord
+	}
+	return c
+}
+
+// Union returns the set that reads what c or o reads; both are sets of the
+// same schema.
+func (c Columns) Union(o Columns) Columns {
+	c.mask |= o.mask
+	return c
+}
+
+// Reads reports whether the set reads field ord.
+func (c Columns) Reads(ord int) bool { return ord >= 64 || c.mask&(1<<ord) != 0 }
 
 // Schema returns the schema the set was compiled for.
 func (c Columns) Schema() *Schema { return c.schema }
@@ -350,19 +378,21 @@ func (c Columns) Decode(dst Tuple, buf []byte) (Tuple, int, error) {
 			t[i] = Value{Kind: fields[i].Kind}
 		}
 	}
-	sel := c.sel
 	i, off := 0, 0
-	if sel != nil && 8*sel.fixed <= len(buf) {
+	if fixed := c.schema.fixed; c.mask != ^uint64(0) && 8*fixed <= len(buf) {
 		// The whole fixed-width prefix is there: read what is wanted of
-		// it at its known offsets and start the walk behind it.
-		for _, ord := range sel.prefix {
+		// it at its known offsets and start the walk behind it. (The
+		// full decode walks every field: it is what the tests hold a
+		// selective decode against.)
+		for m := c.mask & (1<<fixed - 1); m != 0; m &= m - 1 {
+			ord := bits.TrailingZeros64(m)
 			t[ord].setFixed(buf[8*ord:])
 		}
-		i, off = sel.fixed, 8*sel.fixed
+		i, off = fixed, 8*fixed
 	}
 	for ; i < len(fields); i++ {
 		f := &fields[i]
-		want := sel == nil || sel.want[i]
+		want := c.Reads(i)
 		if f.Kind != KindString {
 			if off+8 > len(buf) {
 				return nil, 0, fmt.Errorf("record: truncated %s field %q", f.Kind, f.Name)

@@ -19,9 +19,14 @@
 //     the sleeper's own wake-up is the next event anyway, Sleep moves the
 //     clock and returns without switching: dispatch order is the sorted
 //     order of (time, schedule order) either way.
+//   - A Proc that waits for a condition it can only check, such as a page
+//     another scan is still reading, calls Poll: a Sleep-and-check loop in
+//     which Run itself checks the condition at each wake-up and resumes the
+//     process only once it holds. The dispatch order is the loop's.
 //
 // This is the classic process-interaction style of discrete-event simulation,
-// restricted to the single primitive (Sleep) that the scan workload needs.
+// restricted to the two primitives (Sleep and Poll) that the scan workload
+// needs.
 package sim
 
 import (
@@ -57,7 +62,8 @@ func (k *Kernel) Now() time.Duration { return k.now }
 func (k *Kernel) Live() int { return k.live }
 
 // Proc is a simulated process. Its methods must only be called from the
-// process body's own goroutine: Sleep suspends the coroutine it is called on.
+// process body's own goroutine: Sleep and Poll suspend the coroutine they are
+// called on.
 type Proc struct {
 	k        *Kernel
 	name     string
@@ -66,6 +72,10 @@ type Proc struct {
 	yield    func(struct{}) bool
 	finished bool
 	slept    time.Duration
+	// ready and period are the condition and period of the Poll the
+	// process is suspended in; ready is nil outside Poll.
+	ready  func() bool
+	period time.Duration
 }
 
 // stopped unwinds the body of a process whose kernel gave up on the run.
@@ -129,6 +139,55 @@ func (p *Proc) Sleep(d time.Duration) {
 		return
 	}
 	k.schedule(p, at)
+	p.suspend()
+}
+
+// Poll sleeps d and then asks ready, again and again, until ready returns
+// true. It dispatches exactly like the loop
+//
+//	for { p.Sleep(d); if ready() { break } }
+//
+// — the same instants, the same schedule order, the same calls of ready —
+// but while ready says no, Run asks it without resuming the process: a
+// process waiting for a condition costs no switch to it per period. ready
+// runs at the instant of each wake-up, either on the process's goroutine or
+// on Run's, and must only touch state the processes share under the
+// kernel's one-at-a-time rule. A panic in ready is the process's panic.
+func (p *Proc) Poll(d time.Duration, ready func() bool) {
+	if d <= 0 {
+		panic("sim: Poll with non-positive period")
+	}
+	if p.finished {
+		panic("sim: Poll on finished process")
+	}
+	if p.k.poll(p, d, ready) {
+		return
+	}
+	p.ready, p.period = ready, d
+	p.suspend()
+}
+
+// poll runs the periods of p's Poll for as long as each wake-up would be
+// dispatched next anyway, advancing the clock in place, exactly as Sleep
+// does. It returns true once ready does, and false after queueing a wake-up
+// that has to wait its turn.
+func (k *Kernel) poll(p *Proc, d time.Duration, ready func() bool) bool {
+	for {
+		p.slept += d
+		at := k.now + d
+		if len(k.events) > 0 && at >= k.events[0].at {
+			k.schedule(p, at)
+			return false
+		}
+		k.now = at
+		if ready() {
+			return true
+		}
+	}
+}
+
+// suspend hands control back to Run until the process's next event.
+func (p *Proc) suspend() {
 	if !p.yield(struct{}{}) {
 		panic(stopped{})
 	}
@@ -138,7 +197,7 @@ func (p *Proc) Sleep(d time.Duration) {
 // virtual time at which the simulation quiesced. If a process panics, Run
 // stops every other process, empties the kernel so that it can be used again,
 // and re-raises the panic under the process's name. A process that blocks on
-// anything other than Sleep blocks Run with it.
+// anything other than Sleep or Poll blocks Run with it.
 func (k *Kernel) Run() time.Duration {
 	if k.running {
 		panic("sim: Run called reentrantly")
@@ -170,8 +229,13 @@ func (k *Kernel) Run() time.Duration {
 			panic(fmt.Sprintf("sim: event at %v is before now %v", ev.at, k.now))
 		}
 		k.now = ev.at
-		k.current = ev.p
-		ev.p.next()
+		p := ev.p
+		k.current = p
+		// A process in Poll is resumed only once its condition holds.
+		if p.ready == nil || p.ready() || k.poll(p, p.period, p.ready) {
+			p.ready = nil
+			p.next()
+		}
 		k.current = nil
 	}
 	if k.live > 0 {

@@ -289,9 +289,64 @@ func TestSleepDoesNotAllocate(t *testing.T) {
 	}
 }
 
+// TestPollDoesNotAllocate: a Poll whose condition Run checks on a wake-up
+// that ties with a peer's allocates nothing either.
+func TestPollDoesNotAllocate(t *testing.T) {
+	k := New()
+	done, checks := false, 0
+	k.Spawn("peer", 0, func(p *Proc) {
+		for !done {
+			p.Sleep(time.Microsecond)
+		}
+	})
+	k.Spawn("measured", 0, func(p *Proc) {
+		// No on the first check, yes on the second: every Poll is one
+		// check by Run without resuming the process, then one that does.
+		ready := func() bool { checks++; return checks%2 == 0 }
+		const runs = 1000
+		allocs := testing.AllocsPerRun(runs, func() { p.Poll(time.Microsecond, ready) })
+		done = true
+		if allocs != 0 {
+			t.Errorf("%v allocs per Poll, want 0", allocs)
+		}
+		if checks < 2*runs {
+			t.Errorf("%d checks in %d polls", checks, runs)
+		}
+	})
+	k.Run()
+}
+
+// TestPollPanicNamesTheProcess: a condition that panics while Run checks it
+// is the polling process's panic, and the run is given up as for any other.
+func TestPollPanicNamesTheProcess(t *testing.T) {
+	before := runtime.NumGoroutine()
+	k := New()
+	unwound := false
+	k.Spawn("peer", 0, func(p *Proc) {
+		defer func() { unwound = true }()
+		for {
+			p.Sleep(time.Millisecond)
+		}
+	})
+	k.Spawn("poller", 0, func(p *Proc) {
+		p.Poll(time.Millisecond, func() bool { panic("bad condition") })
+	})
+	if msg := runPanics(t, k); !strings.Contains(msg, "bad condition") || !strings.Contains(msg, `"poller"`) {
+		t.Errorf("panic value = %q, want process name and message", msg)
+	}
+	if !unwound {
+		t.Error("the peer was not stopped")
+	}
+	goroutinesReturnTo(t, before)
+	checkFreshRun(t, k)
+}
+
 // BenchmarkKernelSleep prices one Sleep. Alone, the sleeper is always next
 // and the clock advances in place; with peers on the same step every wake-up
 // ties with the queue's head and costs a switch to Run and one to the peer.
+// poll prices one period of a Poll whose condition stays false, next to one
+// peer on the same step: Run checks the condition without a switch to the
+// poller, so a period costs the peer's hand-over and the check.
 func BenchmarkKernelSleep(b *testing.B) {
 	for _, bc := range []struct {
 		name  string
@@ -311,6 +366,20 @@ func BenchmarkKernelSleep(b *testing.B) {
 			k.Run()
 		})
 	}
+	b.Run("poll", func(b *testing.B) {
+		b.ReportAllocs()
+		k := New()
+		left := b.N
+		k.Spawn("peer", 0, func(p *Proc) {
+			for left > 0 {
+				p.Sleep(time.Microsecond)
+			}
+		})
+		k.Spawn("poller", 0, func(p *Proc) {
+			p.Poll(time.Microsecond, func() bool { left--; return left <= 0 })
+		})
+		k.Run()
+	})
 }
 
 func TestClockTracksKernel(t *testing.T) {

@@ -9,9 +9,10 @@ import (
 	"time"
 )
 
-// A script is what one process does: each step either sleeps or spawns a
+// A script is what one process does: each step sleeps, polls, or spawns a
 // child process and carries on. Kernel and reference both log one entry
-// before every step and one when the script ends.
+// before every step, one per check of a poll's condition, and one when the
+// script ends.
 type script struct {
 	name  string
 	delay time.Duration // spawn delay
@@ -21,6 +22,10 @@ type script struct {
 type scriptStep struct {
 	sleep time.Duration
 	child *script // non-nil: spawn it instead of sleeping
+	// polls > 0: poll every sleep until the log has grown by polls entries
+	// since the step began. Other processes grow the log too, so when the
+	// condition flips depends on the whole schedule.
+	polls int
 }
 
 type logEntry struct {
@@ -30,23 +35,27 @@ type logEntry struct {
 }
 
 // referenceOrder is the model the kernel must agree with: keep every pending
-// wake-up in a list, sort it by (time, schedule order), run the first.
+// wake-up in a list, sort it by (time, schedule order), run the first. A
+// poll is a sleep followed by a check, repeated until the check says yes.
 func referenceOrder(roots []*script) []logEntry {
 	type pending struct {
-		at  time.Duration
-		seq int
-		s   *script
-		pc  int
+		at      time.Duration
+		seq     int
+		s       *script
+		pc      int
+		polling bool // wake up to check the condition of step pc
+		start   int  // log length when the polling step began
 	}
 	var queue []pending
 	var log []logEntry
 	seq := 0
-	push := func(at time.Duration, s *script, pc int) {
+	push := func(ev pending) {
 		seq++
-		queue = append(queue, pending{at, seq, s, pc})
+		ev.seq = seq
+		queue = append(queue, ev)
 	}
 	for _, s := range roots {
-		push(s.delay, s, 0)
+		push(pending{at: s.delay, s: s})
 	}
 	for len(queue) > 0 {
 		sort.Slice(queue, func(i, j int) bool {
@@ -57,17 +66,33 @@ func referenceOrder(roots []*script) []logEntry {
 		})
 		ev := queue[0]
 		queue = queue[1:]
-		for pc := ev.pc; ; pc++ {
+		pc := ev.pc
+		if ev.polling {
+			st := ev.s.steps[pc]
+			log = append(log, logEntry{ev.at, ev.s.name, pc})
+			if len(log)-ev.start < st.polls {
+				ev.at += st.sleep
+				push(ev)
+				continue
+			}
+			pc++
+		}
+		for ; ; pc++ {
 			log = append(log, logEntry{ev.at, ev.s.name, pc})
 			if pc == len(ev.s.steps) {
 				break
 			}
-			if st := ev.s.steps[pc]; st.child != nil {
-				push(ev.at+st.child.delay, st.child, 0)
-			} else {
-				push(ev.at+st.sleep, ev.s, pc+1)
-				break
+			st := ev.s.steps[pc]
+			if st.child != nil {
+				push(pending{at: ev.at + st.child.delay, s: st.child})
+				continue
 			}
+			if st.polls > 0 {
+				push(pending{at: ev.at + st.sleep, s: ev.s, pc: pc, polling: true, start: len(log)})
+			} else {
+				push(pending{at: ev.at + st.sleep, s: ev.s, pc: pc + 1})
+			}
+			break
 		}
 	}
 	return log
@@ -80,9 +105,16 @@ func kernelOrder(roots []*script) (log []logEntry, end time.Duration, live int) 
 		k.Spawn(s.name, s.delay, func(p *Proc) {
 			for pc, st := range s.steps {
 				log = append(log, logEntry{p.Now(), s.name, pc})
-				if st.child != nil {
+				switch {
+				case st.child != nil:
 					spawn(st.child)
-				} else {
+				case st.polls > 0:
+					start := len(log)
+					p.Poll(st.sleep, func() bool {
+						log = append(log, logEntry{p.Now(), s.name, pc})
+						return len(log)-start >= st.polls
+					})
+				default:
 					p.Sleep(st.sleep)
 				}
 			}
@@ -107,9 +139,12 @@ func randomScripts(rng *rand.Rand) []*script {
 		names++
 		s := &script{name: fmt.Sprintf("p%d", names), delay: pick()}
 		for n := rng.Intn(12); n > 0; n-- { // 0 steps: finishes at once
-			if depth < 2 && rng.Intn(8) == 0 {
+			switch r := rng.Intn(8); {
+			case r == 0 && depth < 2:
 				s.steps = append(s.steps, scriptStep{child: gen(depth + 1)})
-			} else {
+			case r <= 2: // a poll's period is positive
+				s.steps = append(s.steps, scriptStep{sleep: pick() + time.Microsecond, polls: 1 + rng.Intn(6)})
+			default:
 				s.steps = append(s.steps, scriptStep{sleep: pick()})
 			}
 		}
@@ -123,8 +158,10 @@ func randomScripts(rng *rand.Rand) []*script {
 }
 
 // TestDispatchOrderMatchesReference pins dispatch order, including the rule
-// the in-place path of Sleep depends on: a wake-up at the same instant as the
-// head of the queue hands over, because the head was scheduled first.
+// the in-place paths of Sleep and Poll depend on: a wake-up at the same
+// instant as the head of the queue hands over, because the head was
+// scheduled first. For Poll it also pins when, and how often, the condition
+// is asked: the reference is a plain sleep-and-check loop.
 func TestDispatchOrderMatchesReference(t *testing.T) {
 	for seed := int64(1); seed <= 300; seed++ {
 		roots := randomScripts(rand.New(rand.NewSource(seed)))

@@ -2,6 +2,7 @@ package sql
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -47,8 +48,9 @@ func (Binary) exprNode()  {}
 func (e ColRef) String() string { return e.Name }
 
 // String renders the literal in the dialect's own syntax, so rendered
-// statements re-parse: strings get SQL quoting ('' escapes), dates the DATE
-// prefix, and floats keep a decimal point (the parser types by its presence).
+// statements re-parse: strings get SQL quoting (a quote inside is doubled),
+// dates the DATE prefix, and floats keep a decimal point (the parser types
+// by its presence).
 func (e Literal) String() string {
 	switch e.Val.Kind {
 	case record.KindString:
@@ -171,6 +173,22 @@ func (s *Select) String() string {
 		fmt.Fprintf(&b, " LIMIT %d", s.Limit)
 	}
 	return b.String()
+}
+
+// columnRefs appends to dst the name of every column e references that dst
+// does not hold yet, in order of appearance.
+func columnRefs(dst []string, e Expr) []string {
+	switch x := e.(type) {
+	case ColRef:
+		if !slices.Contains(dst, x.Name) {
+			dst = append(dst, x.Name)
+		}
+	case Unary:
+		dst = columnRefs(dst, x.X)
+	case Binary:
+		dst = columnRefs(columnRefs(dst, x.L), x.R)
+	}
+	return dst
 }
 
 // nodeCount returns the number of nodes in an expression tree; the binder

@@ -52,8 +52,10 @@ type Spec struct {
 	StartFrac, EndFrac float64
 	// Weight is the CPU weight derived from expression complexity.
 	Weight float64
-	// Pred is the compiled WHERE predicate, or nil.
-	Pred func(record.Tuple) bool
+	// Pred is the compiled WHERE predicate, or nil, and PredReads the
+	// columns the WHERE clause names, each once, in order of appearance.
+	Pred      func(record.Tuple) bool
+	PredReads []string
 	// Select lists projected columns when the query has no aggregates.
 	Select []string
 	// GroupBy and Aggs describe the aggregation, if any.
@@ -201,6 +203,7 @@ func Compile(sel *Select, lookup func(table string) (Meta, error)) (*Spec, error
 			return nil, err
 		}
 		spec.Pred = pred
+		spec.PredReads = columnRefs(nil, sel.Where)
 		complexity += nodeCount(sel.Where)
 		if spec.Join == nil {
 			col, lo, hi := clusteredBounds(sel.Where, meta)

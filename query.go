@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"scanshare/internal/exec"
+	"scanshare/internal/record"
 )
 
 // Query is a declarative single-table plan: a (possibly range-restricted)
@@ -20,6 +21,8 @@ type Query struct {
 	endFrac    float64
 	weight     float64
 	pred       func(Tuple) bool
+	predCols   record.Columns // what pred reads; zero when it did not say
+	predErr    error          // a column in Where's reads the table lacks
 	project    []string
 	groupBy    []string
 	aggs       []aggTerm
@@ -105,8 +108,20 @@ func (q *Query) Importance(i Importance) *Query {
 // Where sets the predicate applied to every scanned tuple. The tuple, and the
 // bytes behind its varchars, are the scan's: pred reads them and keeps
 // nothing.
-func (q *Query) Where(pred func(Tuple) bool) *Query {
+//
+// reads names the columns pred reads. With them, the scan decodes only the
+// columns the query reads — pred's and the selected, grouped and aggregated
+// ones — and an aggregation folds the scan a page at a time; a column pred
+// reads without naming it reads as the zero value of its kind. Without
+// them, pred is opaque: every column is decoded and tuples are pulled
+// through the operators one at a time. A join's scans decode every column,
+// so a joined query's reads are not used.
+func (q *Query) Where(pred func(Tuple) bool, reads ...string) *Query {
 	q.pred = pred
+	q.predCols, q.predErr = record.Columns{}, nil
+	if len(reads) > 0 && q.join == nil {
+		q.predCols, q.predErr = record.SelectNamed(q.table.Schema(), reads...)
+	}
 	return q
 }
 
@@ -191,7 +206,7 @@ func (q *Query) pageRange() (int, int, error) {
 
 // plan compiles the query into an operator tree.
 func (q *Query) plan(shared bool) (exec.Operator, error) {
-	root, fields, err := q.baseTree(shared)
+	root, fields, scan, err := q.baseTree(shared)
 	if err != nil {
 		return nil, err
 	}
@@ -266,7 +281,47 @@ func (q *Query) plan(shared bool) (exec.Operator, error) {
 	if q.hasLimit {
 		root = &exec.Limit{Input: root, N: q.limit}
 	}
+	if scan != nil {
+		// Last, so that an unknown column has been reported above.
+		if scan.Columns, err = q.scanColumns(); err != nil {
+			return nil, err
+		}
+	}
 	return root, nil
+}
+
+// scanColumns compiles what a single-table query's scan decodes: the
+// columns its predicate, projection, grouping and aggregates read. It is the
+// zero set — every column — for an opaque predicate and for a query that
+// returns whole rows.
+func (q *Query) scanColumns() (record.Columns, error) {
+	if (q.pred != nil && q.predCols.Schema() == nil) || len(q.project)+len(q.groupBy)+len(q.aggs) == 0 {
+		return record.Columns{}, nil
+	}
+	s := q.table.Schema()
+	cols, err := record.SelectNamed(s, q.project...)
+	if err != nil {
+		return record.Columns{}, err
+	}
+	grouped, err := record.SelectNamed(s, q.groupBy...)
+	if err != nil {
+		return record.Columns{}, err
+	}
+	cols = cols.Union(grouped)
+	for _, term := range q.aggs {
+		if term.kind == Count {
+			continue
+		}
+		ord, err := s.Ordinal(term.col)
+		if err != nil {
+			return record.Columns{}, err
+		}
+		cols = cols.With(ord)
+	}
+	if q.pred != nil {
+		cols = cols.Union(q.predCols)
+	}
+	return cols, nil
 }
 
 // outputOrdinal resolves a column name against the query's output layout:
@@ -330,69 +385,74 @@ func fieldOrdinal(fields []Field, col, label string) (int, error) {
 }
 
 // baseTree builds the scan (or join-of-scans) stage and returns it together
-// with its output fields.
-func (q *Query) baseTree(shared bool) (exec.Operator, []Field, error) {
+// with its output fields and, for a single-table query, its scan.
+func (q *Query) baseTree(shared bool) (exec.Operator, []Field, *exec.TableScan, error) {
 	if q.join == nil {
-		op, err := q.scanTree(shared)
+		op, scan, err := q.scanTree(shared)
 		if err != nil {
-			return nil, nil, err
+			return nil, nil, nil, err
 		}
-		return op, schemaFields(q.table.Schema()), nil
+		return op, schemaFields(q.table.Schema()), scan, nil
 	}
 
 	j := q.join
 	if q.startFrac != 0 || q.endFrac != 1 || q.weight != 1 || q.importance != ImportanceNormal {
-		return nil, nil, fmt.Errorf("scanshare: set Range/Weight/Importance on the join's side queries, not on %q", q.label())
+		return nil, nil, nil, fmt.Errorf("scanshare: set Range/Weight/Importance on the join's side queries, not on %q", q.label())
 	}
 	for side, sq := range map[string]*Query{"left": j.left, "right": j.right} {
 		if sq.join != nil {
-			return nil, nil, fmt.Errorf("scanshare: nested joins are not supported (%s side of %q)", side, q.label())
+			return nil, nil, nil, fmt.Errorf("scanshare: nested joins are not supported (%s side of %q)", side, q.label())
 		}
 		if len(sq.project) > 0 || len(sq.groupBy) > 0 || len(sq.aggs) > 0 || len(sq.orderBy) > 0 || sq.hasLimit {
-			return nil, nil, fmt.Errorf("scanshare: the %s side of join %q must be a plain scan (move projections/aggregations to the joined query)", side, q.label())
+			return nil, nil, nil, fmt.Errorf("scanshare: the %s side of join %q must be a plain scan (move projections/aggregations to the joined query)", side, q.label())
 		}
 	}
 	if j.left.table.eng != j.right.table.eng {
-		return nil, nil, fmt.Errorf("scanshare: join %q spans engines", q.label())
+		return nil, nil, nil, fmt.Errorf("scanshare: join %q spans engines", q.label())
 	}
 
 	leftSchema, rightSchema := j.left.table.Schema(), j.right.table.Schema()
 	lo, err := leftSchema.Ordinal(j.leftCol)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scanshare: join %q: %w", q.label(), err)
+		return nil, nil, nil, fmt.Errorf("scanshare: join %q: %w", q.label(), err)
 	}
 	ro, err := rightSchema.Ordinal(j.rightCol)
 	if err != nil {
-		return nil, nil, fmt.Errorf("scanshare: join %q: %w", q.label(), err)
+		return nil, nil, nil, fmt.Errorf("scanshare: join %q: %w", q.label(), err)
 	}
 	if leftSchema.Field(lo).Kind != rightSchema.Field(ro).Kind {
-		return nil, nil, fmt.Errorf("scanshare: join %q compares %s with %s",
+		return nil, nil, nil, fmt.Errorf("scanshare: join %q compares %s with %s",
 			q.label(), leftSchema.Field(lo).Kind, rightSchema.Field(ro).Kind)
 	}
 
-	leftTree, err := j.left.scanTree(shared)
+	// The side scans keep the zero column set: a join decodes every column.
+	leftTree, _, err := j.left.scanTree(shared)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
-	rightTree, err := j.right.scanTree(shared)
+	rightTree, _, err := j.right.scanTree(shared)
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	op := &exec.HashJoin{Left: leftTree, Right: rightTree, LeftOrdinal: lo, RightOrdinal: ro}
 	fields := append(schemaFields(leftSchema), schemaFields(rightSchema)...)
-	return op, fields, nil
+	return op, fields, nil, nil
 }
 
-// scanTree builds this query's own scan plus its Where filter.
-func (q *Query) scanTree(shared bool) (exec.Operator, error) {
+// scanTree builds this query's own scan plus its Where filter, and returns
+// the scan too.
+func (q *Query) scanTree(shared bool) (exec.Operator, *exec.TableScan, error) {
+	if q.predErr != nil {
+		return nil, nil, fmt.Errorf("scanshare: query %q: Where reads: %w", q.label(), q.predErr)
+	}
 	start, end, err := q.pageRange()
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	if end == q.table.NumPages() {
 		end = 0 // TableScan convention: 0 means "to the end"
 	}
-	var root exec.Operator = &exec.TableScan{
+	scan := &exec.TableScan{
 		Table:      q.table.tbl,
 		TableID:    q.table.coreTableID(),
 		StartPage:  start,
@@ -401,8 +461,9 @@ func (q *Query) scanTree(shared bool) (exec.Operator, error) {
 		Shared:     shared,
 		Importance: q.importance,
 	}
+	var root exec.Operator = scan
 	if q.pred != nil {
 		root = &exec.Filter{Input: root, Pred: q.pred}
 	}
-	return root, nil
+	return root, scan, nil
 }

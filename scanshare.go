@@ -19,7 +19,7 @@
 //
 //	eng, _ := scanshare.New(scanshare.Config{BufferPoolPages: 1000})
 //	tbl, _ := eng.LoadTable("lineitem", schema, loadRows)
-//	q := scanshare.NewQuery(tbl).Where(pred).Sum("l_extendedprice")
+//	q := scanshare.NewQuery(tbl).Where(pred, "l_discount").Sum("l_extendedprice")
 //	report, _ := eng.Run(scanshare.Shared, []scanshare.Job{
 //		{Query: q},
 //		{Query: q, Start: 10 * time.Second},

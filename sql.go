@@ -57,7 +57,7 @@ func (e *Engine) SQL(query string) (*Query, error) {
 			Weight(spec.Weight)
 	}
 	if spec.Pred != nil {
-		q.Where(spec.Pred)
+		q.Where(spec.Pred, spec.PredReads...)
 	}
 	if len(spec.Select) > 0 {
 		q.Select(spec.Select...)

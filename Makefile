@@ -3,11 +3,11 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-fold bench-sim bench-harness bench-smoke bench-smoke-baseline bench-record
+.PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-fold bench-sim bench-harness
 
 # Every target runs in turn and reports its wall time, so a slow gate names
 # the step that made it slow.
-CHECK_TARGETS = vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench-smoke bench-harness
+CHECK_TARGETS = vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench-harness
 
 check:
 	@begin=$$(date +%s); \
@@ -154,46 +154,3 @@ bench-sim:
 bench-harness:
 	cd benchmark && $(GO) vet ./... && $(GO) test ./...
 	bash benchmark/run.sh -quick
-
-# Tiny deterministic realtime bench compared against the checked-in
-# baseline. The workload is sleep-dominated (page/read delays dwarf CPU
-# time), so pages_read is exactly reproducible and throughput is stable
-# enough for the loose 50% tolerance used here — the strict 10% regression
-# detection is proven in TestCompareBenchRegression. A structural change
-# that alters pages_read or collapses the hit ratio fails this target;
-# refresh the baseline with a reviewed `make bench-smoke-baseline`.
-SMOKE_FLAGS = -realtime 6 -scale 0.2 -rt-pagedelay 200us -rt-readdelay 500us -sample-every 20ms
-SMOKE_BASELINE = cmd/scanshare-bench/testdata/smoke_baseline.json
-
-bench-smoke:
-	$(GO) run ./cmd/scanshare-bench $(SMOKE_FLAGS) -bench-name smoke -bench-json /tmp/scanshare-smoke.json >/dev/null
-	$(GO) run ./cmd/scanshare-bench -compare $(SMOKE_BASELINE) -compare-tolerance 0.5 /tmp/scanshare-smoke.json
-
-bench-smoke-baseline:
-	$(GO) run ./cmd/scanshare-bench $(SMOKE_FLAGS) -bench-name smoke -bench-json $(SMOKE_BASELINE) >/dev/null
-	@echo wrote $(SMOKE_BASELINE)
-
-# Record the full benchmark as the repo's persisted trajectory point
-# (BENCH_<n>.json at the repo root, one per PR; see EXPERIMENTS.md). This
-# PR's point is the A10 tracing-overhead pair: the same 16-scan workload
-# with spans off (BENCH_10_nospans.json) and on (BENCH_10.json), followed
-# by the comparator gate — tracing costing more than 5% throughput fails
-# the recording. Machine noise on this workload is ~±3%, so the recording
-# retries up to three times: a genuinely >5% tracing cost fails every
-# attempt, while a transiently loaded machine does not wedge the target.
-# The binary is built once up front so compile jitter never lands between
-# the paired runs. TestBenchTrajectory re-checks the committed pair (and
-# the schema against BENCH_9.json) on every `make test`.
-RECORD_FLAGS = -realtime 16 -pool-shards 4 -rt-pagedelay 100us
-BENCH_BIN = /tmp/scanshare-bench-record
-
-bench-record:
-	$(GO) build -o $(BENCH_BIN) ./cmd/scanshare-bench
-	@for i in 1 2 3; do \
-		$(BENCH_BIN) $(RECORD_FLAGS) -bench-name rt16-nospans -bench-json BENCH_10_nospans.json >/dev/null && \
-		$(BENCH_BIN) $(RECORD_FLAGS) -rt-spans -bench-name rt16-spans -bench-json BENCH_10.json >/dev/null || exit 1; \
-		if $(BENCH_BIN) -compare BENCH_10_nospans.json -compare-tolerance 0.05 BENCH_10.json; then \
-			echo "recorded BENCH_10_nospans.json / BENCH_10.json (attempt $$i)"; exit 0; \
-		fi; \
-		echo "attempt $$i: pair outside tolerance, re-recording"; \
-	done; echo "tracing overhead exceeded 5% on all attempts"; exit 1

@@ -21,7 +21,6 @@ import (
 	"time"
 
 	"scanshare/internal/experiments"
-	"scanshare/internal/telemetry"
 )
 
 func main() {
@@ -34,7 +33,6 @@ func main() {
 	rtShards := flag.Int("pool-shards", 1, "realtime mode: lock-striped buffer pool shard count (1 = classic single-mutex pool)")
 	rtPolicy := flag.String("pool-policy", "", "buffer pool replacement policy: priority-lru (default) or predictive")
 	rtTranslation := flag.String("pool-translation", "", "buffer pool page translation: map (default) or array (lock-free optimistic hit path)")
-	rtNoCoalesce := flag.Bool("rt-no-coalesce", false, "realtime mode: disable singleflight read coalescing (reproduce busy-poll behavior)")
 	rtPageDelay := flag.Duration("rt-pagedelay", 50*time.Microsecond, "realtime mode: per-page processing delay")
 	rtReadDelay := flag.Duration("rt-readdelay", 200*time.Microsecond, "realtime mode: per-physical-read device delay")
 	var rtObs rtObsFlags
@@ -44,15 +42,6 @@ func main() {
 	flag.BoolVar(&rtObs.timeline, "rt-timeline", false, "realtime mode: print the run's event timeline after the summary")
 	flag.DurationVar(&rtObs.sampleEvery, "sample-every", 100*time.Millisecond, "realtime mode: telemetry sampling interval (0 = only start/end samples)")
 	flag.StringVar(&rtObs.flightDir, "flight-dir", "", "realtime mode: arm the flight recorder; dumps land in this directory on SIGQUIT or run failure")
-	flag.StringVar(&rtObs.benchJSON, "bench-json", "", "realtime mode: write a schema-versioned benchmark result JSON to this file")
-	flag.StringVar(&rtObs.benchName, "bench-name", "realtime", "realtime mode: name recorded in the -bench-json result")
-	flag.BoolVar(&rtObs.spans, "rt-spans", false, "realtime mode: enable span emission even without -rt-trace/-rt-timeline (for measuring tracing overhead)")
-	var sv rtServeFlags
-	flag.IntVar(&sv.clients, "serve-clients", 0, "instead of experiments, run the multi-tenant scan service in-process and drive it with N seeded concurrent clients")
-	flag.IntVar(&sv.tenants, "serve-tenants", 4, "serve mode: tenant count (clients are assigned round-robin)")
-	flag.IntVar(&sv.requests, "serve-requests", 4, "serve mode: successful requests each client must complete")
-	comparePath := flag.String("compare", "", "compare mode: baseline benchmark JSON; the positional argument is the new result (exits 1 on regression)")
-	compareTol := flag.Float64("compare-tolerance", 0.10, "compare mode: allowed fractional throughput drop")
 	var rtFaults rtFaultFlags
 	flag.StringVar(&rtFaults.scenario, "rt-faults", "", `realtime mode: fault scenario ("errors", "slowband", "stall", "torn")`)
 	flag.Float64Var(&rtFaults.prob, "rt-fault-prob", 0.05, "realtime mode: per-(page,attempt) fault probability")
@@ -85,28 +74,8 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *comparePath != "" {
-		if flag.NArg() != 1 {
-			fmt.Fprintln(os.Stderr, "usage: scanshare-bench -compare old.json new.json")
-			os.Exit(2)
-		}
-		if err := runCompare(*comparePath, flag.Arg(0), *compareTol); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
-	if sv.clients > 0 {
-		if err := runServe(p, sv, *rtShards, *rtPolicy, *rtTranslation, *rtPageDelay, rtObs); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		return
-	}
-
 	if *rtScans > 0 {
-		if err := runRealtime(p, *rtScans, *rtWorkers, *rtShards, *rtPolicy, *rtTranslation, *rtNoCoalesce, *rtPush, *rtPageDelay, *rtReadDelay, rtFaults, rtObs); err != nil {
+		if _, err := runRealtime(p, *rtScans, *rtWorkers, *rtShards, *rtPolicy, *rtTranslation, *rtPush, *rtPageDelay, *rtReadDelay, rtFaults, rtObs); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
@@ -146,31 +115,6 @@ func main() {
 			}
 		}
 	}
-}
-
-// runCompare loads two persisted benchmark results and reports regressions
-// of new against old; any finding is returned as an error so the caller
-// exits non-zero (the CI tripwire behind `make bench-smoke`).
-func runCompare(oldPath, newPath string, tolerance float64) error {
-	oldRes, err := telemetry.ReadBench(oldPath)
-	if err != nil {
-		return err
-	}
-	newRes, err := telemetry.ReadBench(newPath)
-	if err != nil {
-		return err
-	}
-	regs := telemetry.CompareBench(oldRes, newRes, tolerance)
-	if len(regs) == 0 {
-		fmt.Printf("ok: %s vs %s within tolerance (%.0f pages/s -> %.0f pages/s, hit %.1f%% -> %.1f%%)\n",
-			oldPath, newPath, oldRes.PagesPerSec, newRes.PagesPerSec,
-			100*oldRes.HitRatio, 100*newRes.HitRatio)
-		return nil
-	}
-	for _, r := range regs {
-		fmt.Fprintln(os.Stderr, "regression:", r)
-	}
-	return fmt.Errorf("%d regression(s) comparing %s against %s", len(regs), newPath, oldPath)
 }
 
 // writeCSV dumps a result's CSV files, when it offers any.

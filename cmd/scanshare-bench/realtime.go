@@ -3,11 +3,8 @@ package main
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"os"
-	"os/exec"
 	"os/signal"
-	"strings"
 	"sync"
 	"syscall"
 	"time"
@@ -21,8 +18,8 @@ import (
 
 // rtObsFlags bundles the realtime-mode observability knobs: the
 // introspection server, the telemetry sampler, the flight recorder, the
-// periodic stats reporter, the JSONL event journal, the post-run timeline
-// rendering, and the persisted benchmark result.
+// periodic stats reporter, the JSONL event journal, and the post-run
+// timeline rendering.
 type rtObsFlags struct {
 	httpAddr    string
 	statsEvery  time.Duration
@@ -30,13 +27,6 @@ type rtObsFlags struct {
 	timeline    bool
 	sampleEvery time.Duration
 	flightDir   string
-	benchJSON   string
-	benchName   string
-	// spans forces a tracer (with an in-memory ring-bounded recorder sink)
-	// even when no journal or timeline was requested, so the tracing-
-	// overhead benchmark can compare spans-on vs spans-off runs of the
-	// same workload.
-	spans bool
 }
 
 // rtFaultFlags bundles the -rt-fault* command-line knobs.
@@ -106,16 +96,6 @@ func publishRealtimeExpvars(eng *scanshare.Engine, tracer *trace.Tracer) {
 	})
 }
 
-// gitRev returns the working tree's short revision, or "" when git (or the
-// repo) is unavailable — the bench result is still valid without it.
-func gitRev() string {
-	out, err := exec.Command("git", "rev-parse", "--short", "HEAD").Output()
-	if err != nil {
-		return ""
-	}
-	return strings.TrimSpace(string(out))
-}
-
 // runRealtime executes n concurrent goroutine scans of one synthetic table
 // in wall-clock time — the realtime counterpart of the virtual-time
 // experiments, exercising the same pool and scan sharing manager with real
@@ -125,11 +105,17 @@ func gitRev() string {
 //
 // Unlike the virtual-time experiments, the printed timings depend on the
 // machine; the structural counters (placements, hit ratio, throttles) are
-// what to look at.
-func runRealtime(p experiments.Params, n, workers, shards int, policy, translation string, noCoalesce, push bool, pageDelay, readDelay time.Duration, faults rtFaultFlags, obs rtObsFlags) error {
-	eng, tbl, poolPages, err := buildRTEngine(p, shards, &policy, &translation)
+// what to look at. The report is printed, and returned for tests.
+func runRealtime(p experiments.Params, n, workers, shards int, policy, translation string, push bool, pageDelay, readDelay time.Duration, faults rtFaultFlags, obs rtObsFlags) (*scanshare.RealtimeReport, error) {
+	eng, tbl, poolPages, err := experiments.RTEngine(p, shards, policy, translation)
 	if err != nil {
-		return err
+		return nil, err
+	}
+	if policy == "" {
+		policy = scanshare.PoolPolicyLRU
+	}
+	if translation == "" {
+		translation = scanshare.PoolTranslationMap
 	}
 
 	scans := make([]scanshare.RealtimeScan, n)
@@ -146,14 +132,13 @@ func runRealtime(p experiments.Params, n, workers, shards int, policy, translati
 
 	col := new(metrics.Collector)
 	opts := scanshare.RealtimeOptions{
-		PrefetchWorkers:       workers,
-		PageReadDelay:         readDelay,
-		DisableReadCoalescing: noCoalesce,
-		PushDelivery:          push,
-		Collector:             col,
+		PrefetchWorkers: workers,
+		PageReadDelay:   readDelay,
+		PushDelivery:    push,
+		Collector:       col,
 	}
 	if err := faults.apply(&opts, tbl); err != nil {
-		return err
+		return nil, err
 	}
 
 	// Observability: event journal sinks, the telemetry sampler, the flight
@@ -163,16 +148,16 @@ func runRealtime(p experiments.Params, n, workers, shards int, policy, translati
 	var tracer *trace.Tracer
 	var rec *trace.Recorder
 	var traceFile *os.File
-	if obs.tracePath != "" || obs.timeline || obs.flightDir != "" || obs.spans {
+	if obs.tracePath != "" || obs.timeline || obs.flightDir != "" {
 		tracer = trace.NewTracer(nil)
-		if obs.timeline || obs.flightDir != "" || (obs.spans && obs.tracePath == "") {
+		if obs.timeline || obs.flightDir != "" {
 			rec = &trace.Recorder{Cap: 1 << 16}
 			tracer.Attach(rec)
 		}
 		if obs.tracePath != "" {
 			f, err := os.Create(obs.tracePath)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			traceFile = f
 			tracer.Attach(trace.NewJSONLSink(f))
@@ -215,12 +200,11 @@ func runRealtime(p experiments.Params, n, workers, shards int, policy, translati
 	if obs.httpAddr != "" {
 		// The shared telemetry plumbing builds a fresh mux per start and
 		// publishes expvar names through the process-wide guard, so a second
-		// run in the same process (tests, or serve mode cycling) cannot
-		// panic on duplicate registration.
+		// run in the same process cannot panic on duplicate registration.
 		publishRealtimeExpvars(eng, tracer)
 		srv, err := telemetry.StartIntrospection(obs.httpAddr, telemetry.NewDebugMux(&sources))
 		if err != nil {
-			return fmt.Errorf("introspection server: %w", err)
+			return nil, fmt.Errorf("introspection server: %w", err)
 		}
 		addr := srv.Addr()
 		fmt.Printf("introspection: http://%s/debug/vars http://%s/debug/pprof/ http://%s/metrics\n",
@@ -293,7 +277,7 @@ func runRealtime(p experiments.Params, n, workers, shards int, policy, translati
 		}
 	}
 	if err != nil {
-		return err
+		return nil, err
 	}
 
 	for _, res := range rep.Results {
@@ -384,89 +368,5 @@ func runRealtime(p experiments.Params, n, workers, shards int, policy, translati
 		fmt.Print(trace.RenderTimeline(evs))
 	}
 
-	if obs.benchJSON != "" {
-		res := rep.BenchResult(telemetry.BenchParams{
-			Pages:       tbl.NumPages(),
-			Scans:       n,
-			Workers:     workers,
-			PoolPages:   poolPages,
-			Shards:      shards,
-			Policy:      policy,
-			Translation: translation,
-			PageDelay:   pageDelay,
-			ReadDelay:   readDelay,
-			Coalescing:  !noCoalesce,
-			Push:        push,
-			Spans:       tracer != nil,
-		})
-		res.Name = obs.benchName
-		res.GitRev = gitRev()
-		res.RecordedAt = time.Now().UTC().Format(time.RFC3339)
-		if err := telemetry.WriteBench(obs.benchJSON, res); err != nil {
-			return err
-		}
-		fmt.Printf("bench result: wrote %s\n", obs.benchJSON)
-	}
-	return nil
-}
-
-// buildRTEngine constructs the wall-clock benchmark engine with its seeded
-// synthetic table "rt", shared by the realtime and serve modes so their
-// workloads are directly comparable. policy and translation are normalized
-// in place to the names the engine resolved the defaults to.
-func buildRTEngine(p experiments.Params, shards int, policy, translation *string) (*scanshare.Engine, *scanshare.Table, int, error) {
-	rows := int(30000 * p.Scale)
-	poolPages := poolPagesFor(rows, p.BufferFrac)
-	eng, err := scanshare.New(scanshare.Config{
-		// Sized after load below would be circular; ~100 bytes/row on
-		// 8 KiB pages gives the page count up front.
-		BufferPoolPages: poolPages,
-		PoolShards:      shards,
-		PoolPolicy:      *policy,
-		PoolTranslation: *translation,
-		Sharing:         scanshare.SharingConfig{PrefetchExtentPages: p.ExtentPages},
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	if *policy == "" {
-		*policy = scanshare.PoolPolicyLRU
-	}
-	if *translation == "" {
-		*translation = scanshare.PoolTranslationMap
-	}
-	schema := scanshare.MustSchema(
-		scanshare.Field{Name: "id", Kind: scanshare.KindInt64},
-		scanshare.Field{Name: "v", Kind: scanshare.KindFloat64},
-		scanshare.Field{Name: "tag", Kind: scanshare.KindString},
-	)
-	rng := rand.New(rand.NewSource(p.Seed))
-	tbl, err := eng.LoadTable("rt", schema, func(add func(scanshare.Tuple) error) error {
-		for i := 0; i < rows; i++ {
-			err := add(scanshare.Tuple{
-				scanshare.Int64(int64(i)),
-				scanshare.Float64(rng.Float64()),
-				scanshare.String(fmt.Sprintf("tag-%02d", rng.Intn(40))),
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return eng, tbl, poolPages, nil
-}
-
-// poolPagesFor sizes the pool as frac of the estimated table pages (about
-// 100 bytes per row on the default 8 KiB pages), with a small floor.
-func poolPagesFor(rows int, frac float64) int {
-	estPages := rows / 80
-	pages := int(float64(estPages) * frac)
-	if pages < 32 {
-		pages = 32
-	}
-	return pages
+	return rep, nil
 }

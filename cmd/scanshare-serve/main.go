@@ -8,17 +8,16 @@
 //	scanshare-serve -addr :7070 -tenants 'acme:4:8:2,beta:2:4:1' -scale 1
 //
 // Each -tenants entry is name:concurrency:queue-depth:weight (later fields
-// optional). The workload table "rt" is generated from -seed at startup,
-// matching scanshare-bench's realtime and serve modes. With -http the server
-// also exposes expvar, pprof, and Prometheus /metrics with per-tenant
-// admission families.
+// optional). The workload table "rt" is generated from -seed at startup by
+// experiments.RTEngine, which scanshare-bench's realtime mode also calls.
+// With -http the server also exposes expvar, pprof, and Prometheus /metrics
+// with per-tenant admission families.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
 	"os/signal"
 	"strconv"
@@ -73,7 +72,7 @@ func run() error {
 		return fmt.Errorf("-slo-queue-p99 needs -flight-dir for somewhere to dump")
 	}
 
-	eng, tbl, poolPages, err := buildEngine(p, *shards, *policy, *translation)
+	eng, tbl, poolPages, err := experiments.RTEngine(p, *shards, *policy, *translation)
 	if err != nil {
 		return err
 	}
@@ -256,49 +255,4 @@ func parseTenants(spec string) ([]server.TenantConfig, error) {
 		return nil, fmt.Errorf("no tenants in spec %q", spec)
 	}
 	return out, nil
-}
-
-// buildEngine mirrors scanshare-bench's workload: one seeded synthetic table
-// "rt" sized by the scale factor, so queries written against the bench work
-// here unchanged.
-func buildEngine(p experiments.Params, shards int, policy, translation string) (*scanshare.Engine, *scanshare.Table, int, error) {
-	rows := int(30000 * p.Scale)
-	estPages := rows / 80
-	poolPages := int(float64(estPages) * p.BufferFrac)
-	if poolPages < 32 {
-		poolPages = 32
-	}
-	eng, err := scanshare.New(scanshare.Config{
-		BufferPoolPages: poolPages,
-		PoolShards:      shards,
-		PoolPolicy:      policy,
-		PoolTranslation: translation,
-		Sharing:         scanshare.SharingConfig{PrefetchExtentPages: p.ExtentPages},
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	schema := scanshare.MustSchema(
-		scanshare.Field{Name: "id", Kind: scanshare.KindInt64},
-		scanshare.Field{Name: "v", Kind: scanshare.KindFloat64},
-		scanshare.Field{Name: "tag", Kind: scanshare.KindString},
-	)
-	rng := rand.New(rand.NewSource(p.Seed))
-	tbl, err := eng.LoadTable("rt", schema, func(add func(scanshare.Tuple) error) error {
-		for i := 0; i < rows; i++ {
-			err := add(scanshare.Tuple{
-				scanshare.Int64(int64(i)),
-				scanshare.Float64(rng.Float64()),
-				scanshare.String(fmt.Sprintf("tag-%02d", rng.Intn(40))),
-			})
-			if err != nil {
-				return err
-			}
-		}
-		return nil
-	})
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	return eng, tbl, poolPages, nil
 }

@@ -16,6 +16,7 @@ package experiments
 
 import (
 	"fmt"
+	"math/rand"
 	"time"
 
 	"scanshare"
@@ -122,6 +123,51 @@ func buildEngine(p Params, sharing scanshare.SharingConfig) (*scanshare.Engine, 
 		return nil, nil, err
 	}
 	return eng, db, nil
+}
+
+// RTEngine builds the wall-clock workload that scanshare-bench -realtime and
+// scanshare-serve both run, so a query written against one works on the
+// other: one table "rt" (id int64, v float64, tag string) of 30000 × Scale
+// rows generated from Seed, behind a pool of BufferFrac of its estimated
+// pages (about 80 rows per 8 KiB page) but no fewer than 32. An empty policy
+// or translation picks the engine default. The pool size is returned with
+// the engine for the callers' banners.
+func RTEngine(p Params, shards int, policy, translation string) (*scanshare.Engine, *scanshare.Table, int, error) {
+	rows := int(30000 * p.Scale)
+	poolPages := max(32, int(float64(rows/80)*p.BufferFrac))
+	eng, err := scanshare.New(scanshare.Config{
+		BufferPoolPages: poolPages,
+		PoolShards:      shards,
+		PoolPolicy:      policy,
+		PoolTranslation: translation,
+		Sharing:         scanshare.SharingConfig{PrefetchExtentPages: p.ExtentPages},
+	})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	schema := scanshare.MustSchema(
+		scanshare.Field{Name: "id", Kind: scanshare.KindInt64},
+		scanshare.Field{Name: "v", Kind: scanshare.KindFloat64},
+		scanshare.Field{Name: "tag", Kind: scanshare.KindString},
+	)
+	rng := rand.New(rand.NewSource(p.Seed))
+	tbl, err := eng.LoadTable("rt", schema, func(add func(scanshare.Tuple) error) error {
+		for i := 0; i < rows; i++ {
+			err := add(scanshare.Tuple{
+				scanshare.Int64(int64(i)),
+				scanshare.Float64(rng.Float64()),
+				scanshare.String(fmt.Sprintf("tag-%02d", rng.Intn(40))),
+			})
+			if err != nil {
+				return err
+			}
+		}
+		return nil
+	})
+	if err != nil {
+		return nil, nil, 0, err
+	}
+	return eng, tbl, poolPages, nil
 }
 
 // Result is what every experiment driver returns: a renderable report.

@@ -601,7 +601,7 @@ func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *p
 	defer span.Close()
 	sc := span.Context()
 
-	feedPool := r.feedsPool()
+	feedPool := cfg.Pool.ScanAware()
 	if feedPool {
 		base := spec.PageID(spec.StartPage) - disk.PageID(spec.StartPage)
 		var seed float64

@@ -181,13 +181,6 @@ type Config struct {
 	// (see CONCURRENCY.md).
 	CoalesceReads bool
 
-	// DisablePoolFeed stops the runner from feeding scan footprints and
-	// position/speed samples to a scan-aware pool (buffer.PolicyPredictive).
-	// The feed is on by default whenever the pool consumes it and is a
-	// no-op otherwise; disabling it isolates the predictive policy's
-	// LRU-degenerate behavior in experiments.
-	DisablePoolFeed bool
-
 	// PushDelivery switches the runner from pull to push mode: one reader
 	// goroutine per scanned table drains the table's page range, pushing
 	// immutable page-batch references through bounded per-subscriber

@@ -79,12 +79,6 @@ func (r *Runner) Run(ctx context.Context, specs []ScanSpec) ([]ScanResult, error
 	return results, errors.Join(errs...)
 }
 
-// feedsPool reports whether the runner feeds scan registrations to the pool:
-// the pool's policy must consume them and the feed must not be disabled.
-func (r *Runner) feedsPool() bool {
-	return r.cfg.Pool.ScanAware() && !r.cfg.DisablePoolFeed
-}
-
 // runScan is the body of one scan worker.
 func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefetcher, res *ScanResult) {
 	cfg := &r.cfg
@@ -142,7 +136,7 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 	// and initial speed estimate; progress reports below keep it current.
 	// Every store in the engine lays table pages out contiguously, so the
 	// device page of table-relative page 0 anchors the footprint.
-	feedPool := r.feedsPool()
+	feedPool := cfg.Pool.ScanAware()
 	if feedPool {
 		base := spec.PageID(spec.StartPage) - disk.PageID(spec.StartPage)
 		var seed float64
@@ -524,7 +518,7 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 				if rerr != nil && res.Err == nil {
 					res.Err = rerr
 				}
-				if r.feedsPool() {
+				if cfg.Pool.ScanAware() {
 					cfg.Pool.SetScanActive(int64(id), true)
 				}
 				cfg.Collector.ScanRejoined()
@@ -549,7 +543,7 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 			if derr != nil && res.Err == nil {
 				res.Err = derr
 			}
-			if r.feedsPool() {
+			if cfg.Pool.ScanAware() {
 				// A detached scan's reports stop; its stale position
 				// must not keep protecting pages.
 				cfg.Pool.SetScanActive(int64(id), false)

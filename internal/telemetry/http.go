@@ -1,16 +1,15 @@
-// Introspection HTTP plumbing shared by scanshare-bench -http and
-// scanshare-serve: a duplicate-safe expvar registry and a standard debug mux
-// behind a gracefully restartable server.
+// Introspection HTTP plumbing shared by scanshare-bench -realtime -http and
+// scanshare-serve -http: a duplicate-safe expvar registry and a standard
+// debug mux behind a gracefully restartable server.
 //
 // The trap this file exists for: expvar.Publish panics on a duplicate name
-// and http.ServeMux panics on a duplicate pattern, but both the bench's
-// runRealtime and a serve process can start, shut down, and start an
-// introspection endpoint more than once per process (tests do, and a served
-// engine can be cycled). Names are therefore published to expvar exactly
-// once per process, as thin Funcs that forward through a mutable provider
-// registry; restarting swaps providers and never re-publishes. Muxes are
-// built fresh per server instance, so patterns are never re-registered on a
-// shared mux.
+// and http.ServeMux panics on a duplicate pattern, but a process can start,
+// shut down, and start an introspection endpoint more than once (tests do,
+// and a served engine can be cycled). Names are therefore published to
+// expvar exactly once per process, as thin Funcs that forward through a
+// mutable provider registry; restarting swaps providers and never
+// re-publishes. Muxes are built fresh per server instance, so patterns are
+// never re-registered on a shared mux.
 package telemetry
 
 import (

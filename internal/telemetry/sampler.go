@@ -1,8 +1,7 @@
 // Package telemetry is the engine's continuous observability layer: a
 // low-overhead periodic sampler over the live metric sources, a hand-rolled
-// Prometheus text-format exporter, a flight recorder that dumps the recent
-// past on failure, and a schema-versioned benchmark-result format with a
-// regression comparator.
+// Prometheus text-format exporter, and a flight recorder that dumps the
+// recent past on failure.
 //
 // The trace journal (internal/trace) records discrete *events*; the
 // end-of-run reports aggregate *totals*. Neither can answer "was the

@@ -11,7 +11,6 @@ import (
 	"scanshare/internal/fault"
 	"scanshare/internal/metrics"
 	"scanshare/internal/realtime"
-	"scanshare/internal/telemetry"
 	"scanshare/internal/trace"
 )
 
@@ -160,21 +159,6 @@ type RealtimeOptions struct {
 	// of aborting the scan.
 	ContinueOnPageFailure bool
 
-	// DisableReadCoalescing turns off singleflight read coalescing, which
-	// is on by default: a scan missing on a page that another scan (or a
-	// prefetch worker) is already reading waits on that read and shares
-	// its outcome instead of sleep-polling, so scan-group members never
-	// issue duplicate physical I/O for the same page. Disable it to
-	// reproduce the pre-coalescing busy-poll behavior in comparisons.
-	DisableReadCoalescing bool
-
-	// DisablePredictiveFeed stops scans from feeding their footprint,
-	// position, and speed to a scan-aware buffer pool (Config.PoolPolicy
-	// PoolPolicyPredictive). The feed is on by default whenever the pool
-	// consumes it and a no-op otherwise; disabling it isolates the
-	// predictive policy's LRU-degenerate behavior in experiments.
-	DisablePredictiveFeed bool
-
 	// Collector, when non-nil, receives the run's activity counters
 	// instead of an internal throwaway one, so live observers — the
 	// telemetry sampler, the Prometheus exporter, expvar — can watch the
@@ -212,64 +196,6 @@ type RealtimeReport struct {
 	// Faults reports what the fault plan injected; zero when no plan was
 	// set.
 	Faults FaultStats
-}
-
-// BenchResult converts the report into the persisted benchmark shape.
-// params records the workload knobs (the report cannot reconstruct them);
-// the caller fills in Name/GitRev/RecordedAt before writing.
-func (r *RealtimeReport) BenchResult(params telemetry.BenchParams) telemetry.BenchResult {
-	out := telemetry.BenchResult{
-		Params:              params,
-		WallSeconds:         r.Wall.Seconds(),
-		PagesRead:           r.Counters.PagesRead,
-		HitRatio:            r.Counters.HitRatio(),
-		ThrottleEvents:      r.Counters.ThrottleEvents,
-		ThrottleWaitSeconds: r.Counters.ThrottleWait.Seconds(),
-		ReadsCoalesced:      r.Counters.ReadsCoalesced,
-		BatchesPushed:       r.Counters.BatchesPushed,
-		SubscriberStalls:    r.Counters.SubscriberStalls,
-		PushDemotions:       r.Counters.PushDemotions,
-		SharedAggFolds:      r.Counters.SharedAggFolds,
-		Histograms: map[string]telemetry.HistSummary{
-			"page_read":      telemetry.SummarizeHist(r.Counters.PageReadLatency),
-			"throttle_wait":  telemetry.SummarizeHist(r.Counters.ThrottleWaitDist),
-			"prefetch_delay": telemetry.SummarizeHist(r.Counters.PrefetchQueueDelay),
-		},
-	}
-	if r.Wall > 0 {
-		out.PagesPerSec = float64(r.Counters.PagesRead) / r.Wall.Seconds()
-	}
-	for _, p := range r.Pools {
-		out.Evictions += p.Evictions
-		out.OptimisticHits += p.OptimisticHits
-		out.OptimisticRetries += p.OptimisticRetries
-		out.OptimisticFallbacks += p.OptimisticFallbacks
-	}
-	var pool, read, delivery time.Duration
-	for i := range r.Results {
-		pool += r.Results[i].PoolWait
-		read += r.Results[i].ReadWait
-		delivery += r.Results[i].DeliveryWait
-	}
-	bd := map[string]float64{}
-	for _, c := range []struct {
-		name string
-		d    time.Duration
-	}{
-		{"throttle", r.Counters.ThrottleWait},
-		{"pool-wait", pool},
-		{"read", read},
-		{"delivery", delivery},
-	} {
-		if c.d > 0 {
-			bd[c.name] = c.d.Seconds()
-		}
-	}
-	if len(bd) > 0 {
-		out.BreakdownSeconds = bd
-	}
-	out.TraceDropped = r.Counters.TraceDropped
-	return out
 }
 
 // compilePlan translates the public fault plan into the internal one,
@@ -330,9 +256,10 @@ func (s rtStore) ReadPage(pid disk.PageID) ([]byte, error) {
 // time — the realtime counterpart of the virtual-time Run. Scans go through
 // the same buffer pools and scan sharing managers as Shared-mode queries:
 // placements, grouping, priority hints, and throttling all apply, with
-// throttle advice honored as real context-aware sleeps. Cancelling ctx stops
-// every scan at its next page boundary; cancelled scans are reported Stopped,
-// not failed.
+// throttle advice honored as real context-aware sleeps. Scans that miss on a
+// page another scan is already reading wait for that read instead of issuing
+// their own (singleflight coalescing). Cancelling ctx stops every scan at its
+// next page boundary; cancelled scans are reported Stopped, not failed.
 //
 // Scans only coordinate within their table's buffer pool, as in Run; scans
 // of tables in different pools proceed independently and concurrently.
@@ -447,8 +374,7 @@ func (e *Engine) RunRealtime(ctx context.Context, opts RealtimeOptions, scans []
 			MaxRetryBackoff:        opts.MaxRetryBackoff,
 			DetachAfterFailures:    opts.DetachAfterFailures,
 			ContinueOnPageFailure:  opts.ContinueOnPageFailure,
-			CoalesceReads:          !opts.DisableReadCoalescing,
-			DisablePoolFeed:        opts.DisablePredictiveFeed,
+			CoalesceReads:          true,
 			Tracer:                 tr,
 			PushDelivery:           opts.PushDelivery,
 			PushBatchPages:         opts.PushBatchPages,

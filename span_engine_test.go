@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"scanshare"
-	"scanshare/internal/telemetry"
 	"scanshare/internal/trace"
 )
 
@@ -24,7 +23,7 @@ func engineTracer(t *testing.T) (*trace.Tracer, *trace.Recorder) {
 // TestSpanEngineRealtimeRoots checks the engine layer's span wiring: scans
 // submitted without a span context get fresh root spans when a tracer is
 // passed, the trees assemble cleanly, the dropped count is synced into the
-// run counters, and the bench result carries the measured wait breakdown.
+// run counters, and the per-scan results carry the measured wait breakdown.
 func TestSpanEngineRealtimeRoots(t *testing.T) {
 	eng, tbl := newEngine(t, 24, 3000) // pool << table: physical reads guaranteed
 	tr, rec := engineTracer(t)
@@ -79,13 +78,10 @@ func TestSpanEngineRealtimeRoots(t *testing.T) {
 			agg.Read, agg.PoolWait, agg.Throttle, read, poolWait, throttle)
 	}
 
-	// And the schema-versioned bench result exposes the same attribution.
-	br := rep.BenchResult(telemetry.BenchParams{})
-	if br.BreakdownSeconds["read"] == 0 {
-		t.Errorf("bench breakdown missing read component: %v", br.BreakdownSeconds)
-	}
-	if br.TraceDropped != 0 {
-		t.Errorf("bench result reports %d dropped trace events", br.TraceDropped)
+	// The per-scan results carry the read component on their own, without
+	// the trace (the dropped count is checked on rep.Counters above).
+	if read == 0 {
+		t.Error("per-scan results attribute no read wait despite a pool smaller than the table")
 	}
 }
 

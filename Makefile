@@ -129,9 +129,12 @@ bench:
 
 # Pool lock-contention surface: the acquire/release hot path across shard
 # counts and GOMAXPROCS, plus the translation A/B on read-mostly hits
-# (see EXPERIMENTS.md and DESIGN.md for interpreting the matrices).
+# (see EXPERIMENTS.md and DESIGN.md for interpreting the matrices); then the
+# single-goroutine miss path (acquire, evict, fill, release) under both
+# translations, whose allocation ceiling TestPoolPathDoesNotAllocate pins.
 bench-pool:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolAcquireRelease|BenchmarkPoolAcquireHitParallel' -benchmem -cpu 1,4,8 ./internal/buffer
+	$(GO) test -run '^$$' -bench BenchmarkPoolMissFillEvict -benchmem ./internal/buffer
 
 # The per-tuple path in isolation: one lineitem page decoded (all columns, and
 # the four Q1 reads) and folded with Q1's shape (private table, shared striped

@@ -114,3 +114,38 @@ func BenchmarkPoolAcquireHitParallel(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkPoolMissFillEvict is the miss path on one goroutine: a page cycle
+// four times the pool, so every acquire misses and, once the pool is full,
+// evicts the least recently released page before the fill. It is the
+// in-package twin of the repo benchmark's buffer.miss_fill_evict_ns probe
+// (map translation) with the array translation beside it; the steady state
+// allocates nothing under map translation and only the content cell under
+// array translation (TestPoolPathDoesNotAllocate pins both).
+func BenchmarkPoolMissFillEvict(b *testing.B) {
+	const (
+		capacity = 1024
+		cycle    = 4 * capacity
+	)
+	data := make([]byte, 8192)
+	for _, translation := range Translations() {
+		b.Run(translation, func(b *testing.B) {
+			pool := MustNewPoolOpts(PoolOptions{Capacity: capacity, Translation: translation})
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				pid := disk.PageID(i % cycle)
+				if st, _ := pool.Acquire(pid); st != Miss {
+					b.Fatalf("Acquire(%d) = %v, want miss", pid, st)
+				}
+				if err := pool.Fill(pid, data); err != nil {
+					b.Fatal(err)
+				}
+				if err := pool.Release(pid, PriorityNormal); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			pool.CheckInvariants()
+		})
+	}
+}

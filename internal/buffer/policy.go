@@ -1,9 +1,6 @@
 package buffer
 
-import (
-	"container/list"
-	"fmt"
-)
+import "fmt"
 
 // Replacement policy names, accepted by NewPoolPolicy and the engine-level
 // Config.PoolPolicy / scanshare-bench -pool-policy plumbing.
@@ -49,20 +46,20 @@ func NormalizePolicy(name string) (string, error) {
 // remove when it is re-pinned. victim must detach and return an unpinned
 // frame, or nil when it holds none.
 type replacementPolicy interface {
-	// insert adds f, just unpinned, to the policy's order. It must set
-	// f.elem to a non-nil node so the shard can tell the frame is
-	// policy-held.
+	// insert links f, just unpinned, into one of the policy's frameLists;
+	// the shard tells a policy-held frame by its links (frame.listed).
 	insert(f *frame)
-	// remove detaches f, about to be re-pinned, and must nil f.elem.
+	// remove unlinks f, about to be re-pinned.
 	remove(f *frame)
-	// victim picks, detaches, and returns the frame to evict, or nil when
+	// victim picks, unlinks, and returns the frame to evict, or nil when
 	// no unpinned frame exists. The returned frame's prio field is the
 	// priority it was last released at, which the shard uses for the
 	// per-priority eviction counters.
 	victim() *frame
 	// check panics if the policy's view of shard s (index idx) is
-	// inconsistent: every held frame must be unpinned and present in the
-	// shard's frame table. Used by CheckInvariants.
+	// inconsistent: every list must be well linked, and every held frame
+	// must be valid, unpinned and present in the shard's frame table. Used
+	// by CheckInvariants.
 	check(s *shard, idx int)
 }
 
@@ -71,9 +68,91 @@ type replacementPolicy interface {
 func newPolicy(policy string, scans *scanTable) replacementPolicy {
 	switch policy {
 	case PolicyPredictive:
-		return &predictivePolicy{order: list.New(), scans: scans}
+		p := &predictivePolicy{scans: scans}
+		p.order.init()
+		return p
 	default:
 		return newLRUPolicy()
+	}
+}
+
+// frameList is an intrusive FIFO threaded through frame.prev/frame.next: a
+// circular doubly linked list around a sentinel, the shape of container/list
+// without the element it allocates per push. The front is the frame pushed
+// least recently. A frame is on at most one list at a time, and its links
+// are nil while it is on none.
+type frameList struct {
+	root frame // sentinel: root.next is the front, root.prev the back
+	n    int
+}
+
+func (l *frameList) init() {
+	l.root.next = &l.root
+	l.root.prev = &l.root
+}
+
+// front returns the least recently pushed frame; on an empty list that is
+// end(), so a front-to-back walk is `for f := l.front(); f != l.end(); ...`.
+func (l *frameList) front() *frame { return l.root.next }
+
+// end is the sentinel a front-to-back walk stops at.
+func (l *frameList) end() *frame { return &l.root }
+
+func (l *frameList) pushBack(f *frame) {
+	at := l.root.prev
+	f.prev, f.next = at, &l.root
+	at.next = f
+	l.root.prev = f
+	l.n++
+}
+
+func (l *frameList) remove(f *frame) {
+	f.prev.next = f.next
+	f.next.prev = f.prev
+	f.prev, f.next = nil, nil
+	l.n--
+}
+
+// moveToBack makes f, already on l, the most recently pushed frame.
+func (l *frameList) moveToBack(f *frame) {
+	if l.root.prev == f {
+		return
+	}
+	l.remove(f)
+	l.pushBack(f)
+}
+
+// check panics unless every link on l is mirrored by its neighbour's and
+// the walk from the front meets the sentinel after exactly n frames.
+func (l *frameList) check(name string) {
+	n := 0
+	for f := &l.root; ; f = f.next {
+		if f.next == nil || f.next.prev != f {
+			panicf("buffer: %s: asymmetric links after frame %d", name, n)
+		}
+		if f.next == &l.root {
+			break
+		}
+		if n++; n > l.n {
+			panicf("buffer: %s: more frames linked than its count %d", name, l.n)
+		}
+	}
+	if n != l.n {
+		panicf("buffer: %s: %d frames linked, count %d", name, n, l.n)
+	}
+}
+
+// checkHeld panics unless f may be held by a shard's policy: resident in the
+// shard's frame table, valid, and unpinned.
+func checkHeld(s *shard, f *frame, list string) {
+	if f.pins != 0 {
+		panicf("buffer: pinned page %d on %s", f.pid, list)
+	}
+	if f.state != frameValid {
+		panicf("buffer: page %d in state %d on %s", f.pid, f.state, list)
+	}
+	if s.lookupLocked(f.pid) != f {
+		panicf("buffer: page %d on %s but not in frame table", f.pid, list)
 	}
 }
 
@@ -86,30 +165,29 @@ func newPolicy(policy string, scans *scanTable) replacementPolicy {
 type lruPolicy struct {
 	// levels[p] holds unpinned frames released at priority p, least
 	// recently released at the front (the eviction end).
-	levels [numPriorities]*list.List
+	levels [numPriorities]frameList
 }
 
 func newLRUPolicy() *lruPolicy {
 	p := &lruPolicy{}
 	for i := range p.levels {
-		p.levels[i] = list.New()
+		p.levels[i].init()
 	}
 	return p
 }
 
 func (p *lruPolicy) insert(f *frame) {
-	f.elem = p.levels[f.prio].PushBack(f)
+	p.levels[f.prio].pushBack(f)
 }
 
 func (p *lruPolicy) remove(f *frame) {
-	p.levels[f.prio].Remove(f.elem)
-	f.elem = nil
+	p.levels[f.prio].remove(f)
 }
 
 func (p *lruPolicy) victim() *frame {
 	for prio := PriorityEvict; prio < numPriorities; prio++ {
-		lvl := p.levels[prio]
-		if lvl.Len() == 0 {
+		lvl := &p.levels[prio]
+		if lvl.n == 0 {
 			continue
 		}
 		// Second-chance walk: a frame whose touched bit was set by a
@@ -120,19 +198,17 @@ func (p *lruPolicy) victim() *frame {
 		// degrades to clearing all bits and evicting the original front:
 		// exactly CLOCK on top of the paper's priority-LRU. Under map
 		// translation no bit is ever set and this is the classic front-pop.
-		for n := lvl.Len(); n > 0; n-- {
-			e := lvl.Front()
-			f := e.Value.(*frame)
+		for n := lvl.n; n > 0; n-- {
+			f := lvl.front()
 			if f.touched.CompareAndSwap(true, false) {
-				lvl.MoveToBack(e)
+				lvl.moveToBack(f)
 				continue
 			}
-			lvl.Remove(e)
-			f.elem = nil
+			lvl.remove(f)
 			return f
 		}
-		f := lvl.Remove(lvl.Front()).(*frame)
-		f.elem = nil
+		f := lvl.front()
+		lvl.remove(f)
 		return f
 	}
 	return nil
@@ -140,16 +216,13 @@ func (p *lruPolicy) victim() *frame {
 
 func (p *lruPolicy) check(s *shard, idx int) {
 	for i := range p.levels {
-		for e := p.levels[i].Front(); e != nil; e = e.Next() {
-			f := e.Value.(*frame)
-			if f.pins != 0 {
-				panic(fmt.Sprintf("buffer: pinned page %d on level list", f.pid))
-			}
+		lvl := &p.levels[i]
+		name := fmt.Sprintf("shard %d level %v list", idx, Priority(i))
+		lvl.check(name)
+		for f := lvl.front(); f != lvl.end(); f = f.next {
+			checkHeld(s, f, name)
 			if f.prio != Priority(i) {
-				panic(fmt.Sprintf("buffer: page %d on level %d but prio %d", f.pid, i, f.prio))
-			}
-			if s.lookupLocked(f.pid) != f {
-				panic(fmt.Sprintf("buffer: page %d level-list entry not in frame table", f.pid))
+				panicf("buffer: page %d on level %d but prio %d", f.pid, i, f.prio)
 			}
 		}
 	}

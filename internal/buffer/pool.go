@@ -32,7 +32,6 @@
 package buffer
 
 import (
-	"container/list"
 	"errors"
 	"fmt"
 	"sync"
@@ -209,9 +208,9 @@ type frameState int
 const (
 	framePending frameState = iota // reserved; disk read in flight
 	frameValid
-	// frameFree marks an array-translation frame sitting on its shard's
-	// freelist between occupants; map-translation frames are garbage
-	// collected instead and never carry this state.
+	// frameFree marks a frame sitting on its shard's freelist between
+	// occupants. Both translations draw every frame from that arena, so a
+	// steady-state miss reuses an evicted frame instead of allocating one.
 	frameFree
 )
 
@@ -221,9 +220,10 @@ type frame struct {
 	pins  int
 	state frameState
 	prio  Priority
-	// elem is the frame's node in its priority level's LRU list while the
-	// frame is unpinned; nil while pinned or pending.
-	elem *list.Element
+	// prev and next link the frame into its replacement policy's frameList
+	// while it is unpinned and valid; both are nil while it is pinned,
+	// pending or free (see listed).
+	prev, next *frame
 
 	// version and content implement the optimistic latch under array
 	// translation (see translation.go). version is even while the frame is
@@ -244,6 +244,9 @@ type frame struct {
 	touched atomic.Bool
 }
 
+// listed reports whether f is on a replacement list, i.e. held by the policy.
+func (f *frame) listed() bool { return f.next != nil }
+
 // shard is one lock-striped partition of the pool: a fixed slice of the
 // total capacity with its own frame table, priority/LRU lists, and counters,
 // all guarded by its own mutex. A page id maps to exactly one shard, so
@@ -251,11 +254,12 @@ type frame struct {
 type shard struct {
 	mu       sync.Mutex
 	capacity int
-	// frames is the classic map translation table; nil under array
+	// frames is the classic map translation table, used for lookup only
+	// (the frames themselves come from all/free); nil under array
 	// translation, where the shared xlate array plus the overflow map play
 	// its role. Every mode branch in this file keys off `s.frames != nil`
-	// so the map path stays operation-for-operation identical to the
-	// pre-array code (the replay goldens pin that).
+	// so the map path makes the same map operations, in the same order, as
+	// the pre-array code (the replay goldens pin the decisions that follow).
 	frames map[disk.PageID]*frame
 	// xlate is the pool-wide array translation table (nil under map
 	// translation). Stores to entries owned by this shard happen under mu;
@@ -265,9 +269,10 @@ type shard struct {
 	// (negative, or past MaxTranslationPages); normally empty. Array mode
 	// only.
 	overflow map[disk.PageID]*frame
-	// all/free preallocate the shard's frames under array translation so
-	// eviction recycles real frame memory (the version protocol needs
-	// stable frame identities to fence). free is a LIFO stack.
+	// all/free preallocate the shard's frames under both translations, so
+	// eviction recycles real frame memory and a steady-state miss allocates
+	// nothing (the array version protocol also needs stable frame
+	// identities to fence). free is a LIFO stack.
 	all  []*frame
 	free []*frame
 	// Optimistic read-path counters, updated without mu (the fast path
@@ -288,7 +293,7 @@ type shard struct {
 	// "every frame pinned by a caller" (AllPinned).
 	pending int
 	stats   Stats
-	// resident mirrors len(frames) so Len() can sum shard occupancy
+	// resident mirrors occupiedLocked() so Len() can sum shard occupancy
 	// without taking any lock (the -http introspection endpoint polls it
 	// while benchmarks run).
 	resident atomic.Int64
@@ -424,13 +429,17 @@ func NewPoolOpts(o PoolOptions) (*Pool, error) {
 		} else {
 			s.xlate = p.xlate
 			s.overflow = make(map[disk.PageID]*frame)
-			s.all = make([]*frame, c)
-			s.free = make([]*frame, 0, c)
-			for j := range s.all {
-				f := &frame{state: frameFree}
-				s.all[j] = f
-				s.free = append(s.free, f)
-			}
+		}
+		arena := make([]frame, c)
+		s.all = make([]*frame, c)
+		s.free = make([]*frame, c)
+		for j := range arena {
+			f := &arena[j]
+			f.state = frameFree
+			s.all[j] = f
+			// The stack pops from the end; reversing it hands out arena
+			// order, first frame first.
+			s.free[c-1-j] = f
 		}
 		p.shards[i] = s
 	}
@@ -547,25 +556,17 @@ func (s *shard) lookupLocked(pid disk.PageID) *frame {
 
 // occupiedLocked returns the number of resident (valid or pending) frames.
 func (s *shard) occupiedLocked() int {
-	if s.frames != nil {
-		return len(s.frames)
-	}
 	return len(s.all) - len(s.free)
 }
 
-// reserveLocked creates and links a pending, pinned frame for pid; the
-// caller has verified a frame is available. Map translation allocates a
-// fresh frame exactly as the classic pool did. Array translation recycles
-// one from the freelist, moves its version even→odd (in transition) BEFORE
-// publishing it in the translation entry, and grows array coverage on
-// demand — out-of-range ids land in the overflow map and are simply never
-// optimistically readable.
+// reserveLocked takes a frame off the freelist and links it, pending and
+// pinned, for pid; the caller has verified a frame is available. Map
+// translation then enters it in the frame map, the one map insert the
+// classic pool made per miss. Array translation moves its version even→odd
+// (in transition) BEFORE publishing it in the translation entry, and grows
+// array coverage on demand — out-of-range ids land in the overflow map and
+// are simply never optimistically readable.
 func (s *shard) reserveLocked(pid disk.PageID) *frame {
-	if s.frames != nil {
-		f := &frame{pid: pid, pins: 1, state: framePending}
-		s.frames[pid] = f
-		return f
-	}
 	n := len(s.free) - 1
 	f := s.free[n]
 	s.free[n] = nil
@@ -573,7 +574,10 @@ func (s *shard) reserveLocked(pid disk.PageID) *frame {
 	f.pid = pid
 	f.pins = 1
 	f.state = framePending
-	f.prio = 0
+	if s.frames != nil {
+		s.frames[pid] = f
+		return f
+	}
 	f.touched.Store(false)
 	f.version.Add(1) // even→odd: in transition until Fill or Abort settles it
 	if e := s.xlate.ensure(pid); e != nil {
@@ -600,22 +604,29 @@ func (s *shard) unlinkLocked(f *frame) {
 	}
 }
 
-// recycleLocked returns an unlinked array-mode frame to the freelist. If
-// the frame was settled (even version: an evicted valid page) the first
-// bump moves it odd before content is cleared; an aborted pending frame is
-// already odd. The final bump settles the version even for the next
-// occupant — net effect: every occupancy changes the version, so equality
-// validation is ABA-proof even across wraparound.
+// recycleLocked scrubs an unlinked frame and returns it to the freelist;
+// evict and abort both end here, under either translation. Under array
+// translation the scrub is fenced: if the frame was settled (even version:
+// an evicted valid page) the first bump moves it odd before content is
+// cleared; an aborted pending frame is already odd. The final bump settles
+// the version even for the next occupant — net effect: every occupancy
+// changes the version, so equality validation is ABA-proof even across
+// wraparound.
 func (s *shard) recycleLocked(f *frame) {
-	if f.version.Load()&1 == 0 {
-		f.version.Add(1)
+	fenced := s.frames == nil
+	if fenced {
+		if f.version.Load()&1 == 0 {
+			f.version.Add(1)
+		}
+		f.content.Store(nil)
 	}
-	f.content.Store(nil)
 	f.data = nil
 	f.pid = 0
 	f.prio = 0
 	f.state = frameFree
-	f.version.Add(1)
+	if fenced {
+		f.version.Add(1)
+	}
 	s.free = append(s.free, f)
 }
 
@@ -701,10 +712,9 @@ func (s *shard) evictLocked() bool {
 		Kind: trace.KindEvict, Page: int64(pid), Prio: int8(victim.prio),
 		Scan: trace.NoID, Peer: trace.NoID, Table: trace.NoID,
 	})
-	if s.frames == nil {
-		// The version is already odd; recycle clears content and settles it.
-		s.recycleLocked(victim)
-	}
+	// Array translation: the version is already odd; recycle clears
+	// content and settles it.
+	s.recycleLocked(victim)
 	if s.evictHook != nil {
 		s.evictHook(pid)
 	}
@@ -751,11 +761,9 @@ func (p *Pool) Abort(pid disk.PageID) error {
 		return fmt.Errorf("buffer: Abort of page %d that is not pending", pid)
 	}
 	s.unlinkLocked(f)
-	if s.frames == nil {
-		// The frame's version has been odd since reserveLocked; recycling
-		// settles it even with no occupant.
-		s.recycleLocked(f)
-	}
+	// Array translation: the frame's version has been odd since
+	// reserveLocked; recycling settles it even with no occupant.
+	s.recycleLocked(f)
 	s.resident.Add(-1)
 	s.pending--
 	// The reserving Acquire counted a Miss, but the page was never
@@ -903,16 +911,39 @@ func (s *shard) checkInvariantsLocked(idx int) {
 	if got := s.resident.Load(); got != int64(occupied) {
 		panic(fmt.Sprintf("buffer: shard %d resident counter %d but %d frames in table", idx, got, occupied))
 	}
-	s.policy.check(s, idx)
-	pending := 0
-	s.forEachFrameLocked(func(pid disk.PageID, f *frame) {
-		if f.pid != pid {
-			panic("buffer: frame table key mismatch")
+	if s.frames != nil {
+		if len(s.frames) != occupied {
+			panic(fmt.Sprintf("buffer: shard %d frame map holds %d pages but occupancy is %d", idx, len(s.frames), occupied))
 		}
+		for pid, f := range s.frames {
+			if f.pid != pid || f.state == frameFree {
+				panic(fmt.Sprintf("buffer: shard %d frame map key %d holds frame of page %d in state %d", idx, pid, f.pid, f.state))
+			}
+		}
+	}
+	s.policy.check(s, idx)
+	for _, f := range s.free {
+		if f.state != frameFree {
+			panic(fmt.Sprintf("buffer: shard %d freelist holds page %d in state %d", idx, f.pid, f.state))
+		}
+	}
+	pending, free := 0, 0
+	for _, f := range s.all {
+		if f.state == frameFree {
+			free++
+			if f.data != nil || f.listed() || f.prev != nil {
+				panic(fmt.Sprintf("buffer: shard %d free frame keeps data or list links", idx))
+			}
+			if s.frames == nil && (f.version.Load()&1 != 0 || f.content.Load() != nil) {
+				panic(fmt.Sprintf("buffer: shard %d freelist holds an unsettled frame", idx))
+			}
+			continue
+		}
+		pid := f.pid
 		if s.lookupLocked(pid) != f {
 			panic(fmt.Sprintf("buffer: page %d frame not reachable through translation", pid))
 		}
-		if f.pins == 0 && f.state == frameValid && f.elem == nil {
+		if f.pins == 0 && f.state == frameValid && !f.listed() {
 			panic(fmt.Sprintf("buffer: unpinned valid page %d not on any level list", pid))
 		}
 		if f.state == framePending {
@@ -933,39 +964,11 @@ func (s *shard) checkInvariantsLocked(idx int) {
 				}
 			}
 		}
-	})
+	}
+	if free != len(s.free) {
+		panic(fmt.Sprintf("buffer: shard %d has %d free frames but %d on its freelist", idx, free, len(s.free)))
+	}
 	if pending != s.pending {
 		panic(fmt.Sprintf("buffer: shard %d has %d pending frames resident but pending counter is %d", idx, pending, s.pending))
-	}
-	if s.frames == nil {
-		nonFree := 0
-		for _, f := range s.all {
-			if f.state != frameFree {
-				nonFree++
-			}
-		}
-		if nonFree != occupied {
-			panic(fmt.Sprintf("buffer: shard %d has %d non-free frames but occupancy %d", idx, nonFree, occupied))
-		}
-		for _, f := range s.free {
-			if f.state != frameFree || f.version.Load()&1 != 0 || f.content.Load() != nil {
-				panic(fmt.Sprintf("buffer: shard %d freelist holds an unsettled frame", idx))
-			}
-		}
-	}
-}
-
-// forEachFrameLocked visits every resident frame with its page id.
-func (s *shard) forEachFrameLocked(fn func(pid disk.PageID, f *frame)) {
-	if s.frames != nil {
-		for pid, f := range s.frames {
-			fn(pid, f)
-		}
-		return
-	}
-	for _, f := range s.all {
-		if f.state != frameFree {
-			fn(f.pid, f)
-		}
 	}
 }

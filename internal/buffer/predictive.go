@@ -1,7 +1,6 @@
 package buffer
 
 import (
-	"container/list"
 	"fmt"
 	"math"
 	"sync"
@@ -161,54 +160,47 @@ func nextUseEstimate(regs []scanSnap, pid disk.PageID) float64 {
 // eviction already implies a physical read on the miss path, so the linear
 // walk is cheap relative to the I/O it precedes.
 type predictivePolicy struct {
-	order *list.List // unpinned frames, least recently released first
+	order frameList // unpinned frames, least recently released first
 	scans *scanTable
 	snap  []scanSnap // scratch, reused across victim calls
 }
 
 func (p *predictivePolicy) insert(f *frame) {
-	f.elem = p.order.PushBack(f)
+	p.order.pushBack(f)
 }
 
 func (p *predictivePolicy) remove(f *frame) {
-	p.order.Remove(f.elem)
-	f.elem = nil
+	p.order.remove(f)
 }
 
 func (p *predictivePolicy) victim() *frame {
-	if p.order.Len() == 0 {
+	if p.order.n == 0 {
 		return nil
 	}
 	p.snap = p.scans.snapshot(p.snap)
-	var best *list.Element
+	var best *frame
 	bestEst := math.Inf(-1)
-	for e := p.order.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*frame)
+	for f := p.order.front(); f != p.order.end(); f = f.next {
 		est := nextUseEstimate(p.snap, f.pid)
 		if math.IsInf(est, 1) {
 			// Nothing will ever read this frame again; the earliest
 			// released such frame wins outright.
-			best = e
+			best = f
 			break
 		}
 		if best == nil || est > bestEst {
-			best, bestEst = e, est
+			best, bestEst = f, est
 		}
 	}
-	f := p.order.Remove(best).(*frame)
-	f.elem = nil
-	return f
+	p.order.remove(best)
+	return best
 }
 
 func (p *predictivePolicy) check(s *shard, idx int) {
-	for e := p.order.Front(); e != nil; e = e.Next() {
-		f := e.Value.(*frame)
-		if f.pins != 0 {
-			panicf("buffer: pinned page %d on predictive release list (shard %d)", f.pid, idx)
-		}
-		if s.lookupLocked(f.pid) != f {
-			panicf("buffer: page %d on predictive release list but not in frame table (shard %d)", f.pid, idx)
-		}
+	name := fmt.Sprintf("shard %d predictive release list", idx)
+	p.order.check(name)
+	for f := p.order.front(); f != p.order.end(); f = f.next {
+		checkHeld(s, f, name)
 	}
 }
 

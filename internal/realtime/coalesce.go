@@ -26,16 +26,23 @@ import (
 type flightTable struct {
 	mu sync.Mutex
 	m  map[disk.PageID]*flight
+	// free holds finished flights that nobody joined, for begin to reuse:
+	// once finish has removed such a flight from m, its leader held the
+	// only reference and is done with it. Guarded by mu.
+	free []*flight
 }
 
 // flight is one in-flight physical read. Most reads finish with nobody
 // waiting, so done is made by the first waiter (join, under the table lock)
-// and a flight that was never joined has none to close. err is written
-// exactly once, before done is closed; the channel close is the
-// happens-before edge that lets waiters read it without the table lock.
-// fallback marks a best-effort (prefetch) read: its failure tells waiters to
-// re-acquire and read the page themselves under their own retry policy,
-// rather than inheriting an error from a reader that never retries.
+// and a flight that was never joined has none to close — finish recycles it
+// instead, so a miss nobody else wanted allocates nothing. A joined flight
+// is never reused: its waiters read err after the close, whenever they
+// wake. err is written exactly once, before done is closed; the channel
+// close is the happens-before edge that lets waiters read it without the
+// table lock. fallback marks a best-effort (prefetch) read: its failure
+// tells waiters to re-acquire and read the page themselves under their own
+// retry policy, rather than inheriting an error from a reader that never
+// retries.
 type flight struct {
 	done     chan struct{}
 	err      error
@@ -46,14 +53,22 @@ func newFlightTable() *flightTable {
 	return &flightTable{m: make(map[disk.PageID]*flight)}
 }
 
-// begin registers a flight for pid and returns it. Returns nil on a nil
-// table (coalescing disabled).
+// begin registers a flight for pid, reusing a recycled one when it can, and
+// returns it. Returns nil on a nil table (coalescing disabled).
 func (t *flightTable) begin(pid disk.PageID, fallback bool) *flight {
 	if t == nil {
 		return nil
 	}
-	fl := &flight{fallback: fallback}
 	t.mu.Lock()
+	var fl *flight
+	if n := len(t.free) - 1; n >= 0 {
+		fl = t.free[n]
+		t.free[n] = nil
+		t.free = t.free[:n]
+	} else {
+		fl = new(flight)
+	}
+	fl.fallback = fallback
 	t.m[pid] = fl
 	t.mu.Unlock()
 	return fl
@@ -82,8 +97,9 @@ func (t *flightTable) join(pid disk.PageID) (*flight, <-chan struct{}, bool) {
 // waiter's re-Acquire observes the final state: Hit after a fill, Miss after
 // an abort. The delete is pointer-guarded so a finish racing a newer flight
 // for the same page never removes the newer entry; once the entry is gone no
-// waiter can join, so the done channel read under the lock is final. No-op
-// when t or fl is nil.
+// waiter can join, so the done channel read under the lock is final — and a
+// flight without one goes back on the freelist. The leader must not touch fl
+// after finish. No-op when t or fl is nil.
 func (t *flightTable) finish(pid disk.PageID, fl *flight, err error) {
 	if t == nil || fl == nil {
 		return
@@ -94,6 +110,10 @@ func (t *flightTable) finish(pid disk.PageID, fl *flight, err error) {
 		delete(t.m, pid)
 	}
 	done := fl.done
+	if done == nil {
+		*fl = flight{}
+		t.free = append(t.free, fl)
+	}
 	t.mu.Unlock()
 	if done != nil {
 		close(done)

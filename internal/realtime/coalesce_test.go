@@ -304,18 +304,19 @@ func TestCoalesceChaosStress(t *testing.T) {
 	}
 }
 
-// TestFlightNoWaiterAllocs pins the cost of a miss nobody else wanted: the
-// flight record and nothing more. The done channel exists only once a waiter
-// has joined, and a joined flight still wakes its waiter.
+// TestFlightNoWaiterAllocs pins the cost of a miss nobody else wanted:
+// nothing, since finish recycles a flight nobody joined and the next begin
+// reuses it. The done channel exists only once a waiter has joined, and a
+// joined flight still wakes its waiter and is never handed out again.
 func TestFlightNoWaiterAllocs(t *testing.T) {
 	ft := newFlightTable()
-	ft.finish(1, ft.begin(1, false), nil) // size the map
+	ft.finish(1, ft.begin(1, false), nil) // size the map, seed the freelist
 	if !heaptest.RaceEnabled {
 		got := testing.AllocsPerRun(100, func() {
 			ft.finish(1, ft.begin(1, false), nil)
 		})
-		if got > 1 {
-			t.Errorf("begin+finish with no waiter allocates %v objects, want <= 1", got)
+		if got != 0 {
+			t.Errorf("begin+finish with no waiter allocates %v objects, want 0", got)
 		}
 	}
 
@@ -336,5 +337,10 @@ func TestFlightNoWaiterAllocs(t *testing.T) {
 	}
 	if _, _, ok := ft.join(2); ok {
 		t.Error("a finished flight can still be joined")
+	}
+	if next := ft.begin(3, true); next == joined {
+		t.Error("a joined flight was recycled while its waiter may still read it")
+	} else if next.done != nil || next.err != nil || !next.fallback {
+		t.Errorf("recycled flight not reset: done %v, err %v, fallback %v", next.done, next.err, next.fallback)
 	}
 }

@@ -15,9 +15,9 @@ import (
 const maxFailedPages = 1 << 14
 
 // prefetcher is the bounded worker-pool read-ahead pipeline. Scan workers
-// enqueue the device pages of their next prefetch extent; workers drain the
-// queue and stage missing pages in the pool so the scans hit instead of
-// stalling on the store.
+// enqueue their next prefetch extent; workers drain the queue and stage
+// missing pages in the pool so the scans hit instead of stalling on the
+// store.
 //
 // Three properties keep it from fighting the scans it serves:
 //
@@ -58,10 +58,14 @@ type prefetcher struct {
 
 // prefetchReq is one queued extent plus its enqueue time, so the pickup
 // delay — how long the request sat behind others in the bounded queue — can
-// be observed into the collector's queue-delay histogram.
+// be observed into the collector's queue-delay histogram. The extent is the
+// scan-order indices [from, to) of the requesting scan, whose page mapping
+// pageAt turns them into device pages: a request names its pages without a
+// slice of its own.
 type prefetchReq struct {
-	pids []disk.PageID
-	at   time.Duration
+	pageAt   func(i int) disk.PageID
+	from, to int
+	at       time.Duration
 }
 
 // newPrefetcher starts workers goroutines draining a queue of at most
@@ -87,13 +91,14 @@ func newPrefetcher(pool *buffer.Pool, read func(pid disk.PageID) ([]byte, error)
 	return p
 }
 
-// enqueue offers one extent to the pipeline without blocking.
-func (p *prefetcher) enqueue(pids []disk.PageID) {
-	if len(pids) == 0 {
+// enqueue offers the extent of scan-order indices [from, to) to the
+// pipeline without blocking; pageAt maps an index to its device page.
+func (p *prefetcher) enqueue(pageAt func(i int) disk.PageID, from, to int) {
+	if from >= to {
 		return
 	}
 	select {
-	case p.reqs <- prefetchReq{pids: pids, at: p.now()}:
+	case p.reqs <- prefetchReq{pageAt: pageAt, from: from, to: to, at: p.now()}:
 		p.col.PrefetchEnqueued()
 	default:
 		p.col.PrefetchDropped()
@@ -112,8 +117,8 @@ func (p *prefetcher) worker() {
 	for req := range p.reqs {
 		p.col.PrefetchPicked()
 		p.col.PrefetchDelayed(p.now() - req.at)
-		for _, pid := range req.pids {
-			p.fetch(pid)
+		for i := req.from; i < req.to; i++ {
+			p.fetch(req.pageAt(i))
 		}
 	}
 }

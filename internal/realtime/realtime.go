@@ -233,7 +233,9 @@ type ScanSpec struct {
 	// StartPage and EndPage bound the scan to [StartPage, EndPage);
 	// EndPage == 0 means the end of the table.
 	StartPage, EndPage int
-	// PageID maps a table-relative page number to its device page.
+	// PageID maps a table-relative page number to its device page. With
+	// prefetching on, prefetch workers call it too, concurrently with the
+	// scan, so it must be a pure function of pageNo.
 	PageID func(pageNo int) disk.PageID
 	// EstimatedDuration and Importance are passed to the Manager.
 	EstimatedDuration time.Duration

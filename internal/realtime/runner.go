@@ -180,6 +180,9 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 	pageNo := func(i int) int {
 		return spec.StartPage + (pl.Origin-spec.StartPage+i)%length
 	}
+	// pageAt is the scan-order index → device page mapping prefetch
+	// requests carry, so an extent is just a range of indices.
+	pageAt := func(i int) disk.PageID { return spec.PageID(pageNo(i)) }
 
 	for v := 0; v < limit; v++ {
 		if ctx.Err() != nil {
@@ -190,10 +193,11 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 		// the following extent. Requests are deduplicated downstream,
 		// so a whole group effectively issues one read-ahead stream.
 		if pf != nil && v%interval == 0 {
-			pf.enqueue(r.extentPIDs(spec, pageNo, v+interval, limit, interval))
+			from := v + interval
+			pf.enqueue(pageAt, from, min(from+interval, limit))
 		}
 
-		pid := spec.PageID(pageNo(v))
+		pid := pageAt(v)
 		data, out := r.fetchPage(ctx, id, sc, pid, hook, res, &deg)
 		if out == fetchStop {
 			return
@@ -607,21 +611,4 @@ func (r *Runner) releasePage(pid disk.PageID, prio core.PagePriority, res *ScanR
 	if err := r.cfg.Pool.Release(pid, poolPriority(prio)); err != nil && res.Err == nil {
 		res.Err = err
 	}
-}
-
-// extentPIDs collects the device pages of the extent starting at scan-order
-// index from, clipped to the scan's limit.
-func (r *Runner) extentPIDs(spec ScanSpec, pageNo func(int) int, from, limit, interval int) []disk.PageID {
-	if from >= limit {
-		return nil
-	}
-	to := from + interval
-	if to > limit {
-		to = limit
-	}
-	pids := make([]disk.PageID, 0, to-from)
-	for i := from; i < to; i++ {
-		pids = append(pids, spec.PageID(pageNo(i)))
-	}
-	return pids
 }

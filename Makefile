@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-fold bench-sim bench-harness
+.PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-fold bench-sim bench-load bench-harness
 
 # Every target runs in turn and reports its wall time, so a slow gate names
 # the step that made it slow.
@@ -150,6 +150,14 @@ bench-fold:
 # TestSleepDoesNotAllocate and TestPollDoesNotAllocate.
 bench-sim:
 	$(GO) test -run '^$$' -bench BenchmarkKernelSleep -benchmem ./internal/sim
+
+# The set-up every repository benchmark repetition pays: one scale-40
+# workload.Load (about 16 200 pages) into a fresh engine, timed without the
+# engine's construction. The allocation ceiling it implies — two per page and
+# a constant, nothing per row — is pinned in tier-1 by TestLoadTableAllocations,
+# and the pages themselves by the TestLoadMatchesReference oracles.
+bench-load:
+	$(GO) test -run '^$$' -bench BenchmarkLoad -benchmem ./internal/workload
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is a module of its own that
 # `./...` does not reach: vet and test the harness, then run every workload

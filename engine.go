@@ -249,13 +249,20 @@ func (t *Table) NumTuples() int64 { return t.tbl.NumTuples() }
 // LoadTable creates a table and populates it by calling load with an append
 // function. Loading is instantaneous in virtual time (the paper's workloads
 // are read-only; load cost is out of scope).
+//
+// add keeps nothing of the tuple it is given once it returns: the tuple is
+// encoded into the table's pages, and only varchar strings are kept, by
+// reference, in the column statistics (Go strings are immutable). A loader
+// may therefore fill one Tuple per table and pass it for every row. A tuple
+// add rejects leaves the table and its statistics as they were.
 func (e *Engine) LoadTable(name string, schema *Schema, load func(add func(Tuple) error) error) (*Table, error) {
 	return e.LoadTableInPool(name, "", schema, load)
 }
 
 // LoadTableInPool is LoadTable for a table served by the named extra buffer
 // pool (declared in Config.Pools). Scans only coordinate within a pool: each
-// pool has its own scan sharing manager, as in the paper.
+// pool has its own scan sharing manager, as in the paper. add's contract is
+// LoadTable's: it keeps nothing of the tuple, so the loader may reuse it.
 func (e *Engine) LoadTableInPool(name, pool string, schema *Schema, load func(add func(Tuple) error) error) (*Table, error) {
 	rt, ok := e.pools[pool]
 	if !ok {
@@ -265,8 +272,8 @@ func (e *Engine) LoadTableInPool(name, pool string, schema *Schema, load func(ad
 	if err != nil {
 		return nil, err
 	}
-	stats := newColStats(schema.NumFields())
-	if err := load(statsObserver(schema, stats, b.Append)); err != nil {
+	stats := newColStats(schema)
+	if err := load(statsObserver(stats, b.Append)); err != nil {
 		return nil, fmt.Errorf("scanshare: loading %q: %w", name, err)
 	}
 	tbl, err := b.Finish()

@@ -24,6 +24,7 @@ package disk
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"time"
@@ -163,9 +164,8 @@ func (d *Device) Allocate(n int) (PageID, error) {
 	defer d.mu.Unlock()
 	first := d.alloced
 	d.alloced += PageID(n)
-	for i := 0; i < n; i++ {
-		d.pages = append(d.pages, nil)
-	}
+	d.pages = slices.Grow(d.pages, n)[:d.alloced]
+	clear(d.pages[first:])
 	return first, nil
 }
 

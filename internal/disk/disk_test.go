@@ -84,6 +84,37 @@ func TestWriteBoundsChecked(t *testing.T) {
 	}
 }
 
+// TestWriteCopies pins Write's contract: the device keeps a copy, so the
+// caller may reuse its buffer.
+func TestWriteCopies(t *testing.T) {
+	d := MustNew(testModel(), 0)
+	p, _ := d.Allocate(1)
+	buf := []byte("written")
+	if err := d.Write(p, buf); err != nil {
+		t.Fatal(err)
+	}
+	buf[0] = 'W'
+	if got, _ := d.ReadRaw(p); string(got) != "written" {
+		t.Errorf("Write kept the caller's buffer: page reads %q", got)
+	}
+}
+
+// TestAllocateGrowsInOneStep allocates past the page table's capacity: the
+// new pages are contiguous and read empty until written.
+func TestAllocateGrowsInOneStep(t *testing.T) {
+	d := MustNew(testModel(), 0)
+	first, _ := d.Allocate(2)
+	next, _ := d.Allocate(1000)
+	if next != first+2 || d.AllocatedPages() != 1002 {
+		t.Errorf("Allocate(1000) = %d with %d allocated", next, d.AllocatedPages())
+	}
+	for _, p := range []PageID{first, next, next + 999} {
+		if got, err := d.ReadRaw(p); err != nil || len(got) != 0 {
+			t.Errorf("fresh page %d reads %q, %v", p, got, err)
+		}
+	}
+}
+
 func TestReadBoundsChecked(t *testing.T) {
 	d := MustNew(testModel(), 0)
 	if _, _, err := d.Read(0, 0); err == nil {

@@ -152,13 +152,14 @@ func RTEngine(p Params, shards int, policy, translation string) (*scanshare.Engi
 	)
 	rng := rand.New(rand.NewSource(p.Seed))
 	tbl, err := eng.LoadTable("rt", schema, func(add func(scanshare.Tuple) error) error {
+		var t scanshare.Tuple // add keeps nothing of it
 		for i := 0; i < rows; i++ {
-			err := add(scanshare.Tuple{
+			t = append(t[:0],
 				scanshare.Int64(int64(i)),
 				scanshare.Float64(rng.Float64()),
 				scanshare.String(fmt.Sprintf("tag-%02d", rng.Intn(40))),
-			})
-			if err != nil {
+			)
+			if err := add(t); err != nil {
 				return err
 			}
 		}

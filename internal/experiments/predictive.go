@@ -132,13 +132,14 @@ func loadSyntheticTable(eng *scanshare.Engine, rows int, seed int64) (*scanshare
 		return z ^ (z >> 31)
 	}
 	return eng.LoadTable("ab", schema, func(add func(scanshare.Tuple) error) error {
+		var t scanshare.Tuple // add keeps nothing of it
 		for i := 0; i < rows; i++ {
-			err := add(scanshare.Tuple{
+			t = append(t[:0],
 				scanshare.Int64(int64(i)),
-				scanshare.Float64(float64(next()%1000) / 1000),
+				scanshare.Float64(float64(next()%1000)/1000),
 				scanshare.String(fmt.Sprintf("tag-%02d", next()%40)),
-			})
-			if err != nil {
+			)
+			if err := add(t); err != nil {
 				return err
 			}
 		}

@@ -87,27 +87,33 @@ func NewBuilder(dev *disk.Device, name string, schema *record.Schema) (*Builder,
 }
 
 // Append adds one tuple, starting a new page when the current one is full.
+// The tuple is encoded once, straight behind the current page's data, and
+// measured there; a tuple that does not fit moves to the next page. Nothing
+// of t is kept, so the caller may reuse it. An error leaves the builder as it
+// was.
 func (b *Builder) Append(t record.Tuple) error {
 	if b.finished {
 		return fmt.Errorf("heap: Append after Finish")
 	}
-	size, err := record.EncodedSize(b.schema, t)
+	start := len(b.data)
+	data, err := record.Encode(b.data, b.schema, t)
 	if err != nil {
 		return err
 	}
+	size := len(data) - start
 	payload := b.pageSize - pageHeaderSize
 	if size+slotSize > payload {
 		return fmt.Errorf("heap: tuple of %d bytes does not fit a %d-byte page", size, b.pageSize)
 	}
-	need := pageHeaderSize + (len(b.offsets)+1)*slotSize + len(b.data) + size
+	need := pageHeaderSize + (len(b.offsets)+1)*slotSize + len(data)
 	if need > b.pageSize {
+		b.data = data[:start]
 		b.flushPage()
+		data = data[:copy(data, data[start:])]
+		start = 0
 	}
-	b.offsets = append(b.offsets, uint16(len(b.data)))
-	b.data, err = record.Encode(b.data, b.schema, t)
-	if err != nil {
-		return err
-	}
+	b.data = data
+	b.offsets = append(b.offsets, uint16(start))
 	b.tuples++
 	return nil
 }

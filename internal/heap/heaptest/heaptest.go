@@ -1,6 +1,7 @@
 // Package heaptest builds real heap pages for the tests and benchmarks of the
 // per-tuple path (page decode in heap, the fold in exec), so both layers are
-// measured and checked on the same bytes.
+// measured and checked on the same bytes. It also keeps the reference table
+// load, RefLoad, that the engine's loader is checked against.
 package heaptest
 
 import (

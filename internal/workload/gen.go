@@ -158,24 +158,25 @@ func Load(eng *scanshare.Engine, cfg GenConfig) (*DB, error) {
 	nLine := rows(lineitemRowsSF1)
 	db.Lineitem, err = eng.LoadTable("lineitem", LineitemSchema(), func(add func(scanshare.Tuple) error) error {
 		rng := rand.New(rand.NewSource(cfg.Seed))
+		var t scanshare.Tuple // one tuple for every row: add keeps nothing of it
 		for i := 0; i < nLine; i++ {
 			// Clustered on shipdate: dates increase with row order.
 			day := int64(i) * DataDays / int64(nLine)
 			qty := float64(1 + rng.Intn(50))
 			price := qty * (900 + 200*rng.Float64())
-			err := add(scanshare.Tuple{
-				scanshare.Int64(int64(1 + rng.Intn(nLine/2+1))),
-				scanshare.Int64(int64(1 + rng.Intn(rows(partRowsSF1)))),
+			t = append(t[:0],
+				scanshare.Int64(int64(1+rng.Intn(nLine/2+1))),
+				scanshare.Int64(int64(1+rng.Intn(rows(partRowsSF1)))),
 				scanshare.Float64(qty),
 				scanshare.Float64(price),
-				scanshare.Float64(float64(rng.Intn(11)) / 100),
-				scanshare.Float64(float64(rng.Intn(9)) / 100),
+				scanshare.Float64(float64(rng.Intn(11))/100),
+				scanshare.Float64(float64(rng.Intn(9))/100),
 				scanshare.String(returnFlags[rng.Intn(len(returnFlags))]),
 				scanshare.String(lineStatuses[rng.Intn(len(lineStatuses))]),
 				scanshare.Date(day),
 				scanshare.String(shipModes[rng.Intn(len(shipModes))]),
-			})
-			if err != nil {
+			)
+			if err := add(t); err != nil {
 				return err
 			}
 		}
@@ -188,17 +189,18 @@ func Load(eng *scanshare.Engine, cfg GenConfig) (*DB, error) {
 	nOrders := rows(ordersRowsSF1)
 	db.Orders, err = eng.LoadTable("orders", OrdersSchema(), func(add func(scanshare.Tuple) error) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + 1))
+		var t scanshare.Tuple
 		for i := 0; i < nOrders; i++ {
 			day := int64(i) * DataDays / int64(nOrders)
-			err := add(scanshare.Tuple{
-				scanshare.Int64(int64(i + 1)),
-				scanshare.Int64(int64(1 + rng.Intn(rows(customerRowsSF1)))),
-				scanshare.Float64(1000 + 99000*rng.Float64()),
+			t = append(t[:0],
+				scanshare.Int64(int64(i+1)),
+				scanshare.Int64(int64(1+rng.Intn(rows(customerRowsSF1)))),
+				scanshare.Float64(1000+99000*rng.Float64()),
 				scanshare.Date(day),
 				scanshare.String(priorities[rng.Intn(len(priorities))]),
 				scanshare.String(orderStati[rng.Intn(len(orderStati))]),
-			})
-			if err != nil {
+			)
+			if err := add(t); err != nil {
 				return err
 			}
 		}
@@ -211,16 +213,17 @@ func Load(eng *scanshare.Engine, cfg GenConfig) (*DB, error) {
 	nPart := rows(partRowsSF1)
 	db.Part, err = eng.LoadTable("part", PartSchema(), func(add func(scanshare.Tuple) error) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + 2))
+		var t scanshare.Tuple
 		for i := 0; i < nPart; i++ {
-			err := add(scanshare.Tuple{
-				scanshare.Int64(int64(i + 1)),
+			t = append(t[:0],
+				scanshare.Int64(int64(i+1)),
 				scanshare.String(brands[rng.Intn(len(brands))]),
 				scanshare.String(types[rng.Intn(len(types))]),
-				scanshare.Int64(int64(1 + rng.Intn(50))),
-				scanshare.Float64(900 + 200*rng.Float64()),
+				scanshare.Int64(int64(1+rng.Intn(50))),
+				scanshare.Float64(900+200*rng.Float64()),
 				scanshare.String(containers[rng.Intn(len(containers))]),
-			})
-			if err != nil {
+			)
+			if err := add(t); err != nil {
 				return err
 			}
 		}
@@ -233,14 +236,15 @@ func Load(eng *scanshare.Engine, cfg GenConfig) (*DB, error) {
 	nCust := rows(customerRowsSF1)
 	db.Customer, err = eng.LoadTable("customer", CustomerSchema(), func(add func(scanshare.Tuple) error) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + 3))
+		var t scanshare.Tuple
 		for i := 0; i < nCust; i++ {
-			err := add(scanshare.Tuple{
-				scanshare.Int64(int64(i + 1)),
+			t = append(t[:0],
+				scanshare.Int64(int64(i+1)),
 				scanshare.Int64(int64(rng.Intn(25))),
-				scanshare.Float64(-999 + 10999*rng.Float64()),
+				scanshare.Float64(-999+10999*rng.Float64()),
 				scanshare.String(segments[rng.Intn(len(segments))]),
-			})
-			if err != nil {
+			)
+			if err := add(t); err != nil {
 				return err
 			}
 		}

@@ -28,6 +28,14 @@
 //
 // Running the same jobs with scanshare.Baseline gives the vanilla engine for
 // comparison; every experiment in the paper reduces to such a pair of runs.
+//
+// # Loading
+//
+// LoadTable's add function encodes each tuple into the table's pages and
+// keeps nothing of it once it returns, so a loader may fill one Tuple per
+// table and pass it for every row. Varchar strings are the one thing kept:
+// the column statistics hold them by reference, which is safe because Go
+// strings are immutable.
 package scanshare
 
 import (

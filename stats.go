@@ -1,6 +1,8 @@
 package scanshare
 
 import (
+	"fmt"
+
 	"scanshare/internal/catalog"
 	"scanshare/internal/record"
 )
@@ -10,50 +12,105 @@ import (
 // order. A monotone column is a physical clustering key — a range predicate
 // on it selects a contiguous page range, which is what turns the paper's
 // "analysts hit the last year" scenario into overlapping range scans.
+//
+// The bounds and the previous value are kept in the column's own type, in
+// the member its kind selects: a row costs at most three typed comparisons
+// per column and builds no Value. Varchars are kept by reference, which is
+// safe because Go strings are immutable.
 type colStats struct {
+	kind     record.Kind
 	seen     bool
-	min, max record.Value
 	monotone bool
-	prev     record.Value
+	i        bounds[int64] // bigint and date
+	f        bounds[float64]
+	s        bounds[string]
 }
 
-func newColStats(n int) []colStats {
-	out := make([]colStats, n)
+// bounds is the typed state of one column's stats. Its comparisons are
+// record.Compare's: a NaN compares equal to everything, so it neither moves a
+// bound nor breaks the order, and -0 equals +0.
+type bounds[T int64 | float64 | string] struct{ min, max, prev T }
+
+// first starts the bounds at v.
+func (b *bounds[T]) first(v T) { b.min, b.max, b.prev = v, v, v }
+
+// next folds v in and returns monotone, cleared if v broke the
+// non-decreasing order. A value equal to the previous one — the common case
+// for a low-cardinality varchar — changes nothing, and a column that is no
+// longer monotone skips the order check.
+func (b *bounds[T]) next(v T, monotone bool) bool {
+	if v == b.prev {
+		return monotone
+	}
+	if v < b.min {
+		b.min = v
+	} else if v > b.max {
+		b.max = v
+	}
+	if monotone && v < b.prev {
+		monotone = false
+	}
+	b.prev = v
+	return monotone
+}
+
+func newColStats(schema *Schema) []colStats {
+	out := make([]colStats, schema.NumFields())
 	for i := range out {
+		out[i].kind = schema.Field(i).Kind
 		out[i].monotone = true
 	}
 	return out
 }
 
-// observe folds one value into the stats.
-func (c *colStats) observe(v record.Value) {
-	if !c.seen {
-		c.seen = true
-		c.min, c.max, c.prev = v, v, v
-		return
+// observeRow folds one row into the stats of its columns. A value of another
+// kind than its column's panics, as record.Compare does.
+func observeRow(stats []colStats, t Tuple) {
+	t = t[:len(stats)]
+	for i := range stats {
+		c, v := &stats[i], &t[i]
+		if v.Kind != c.kind {
+			panic(fmt.Sprintf("record: comparing %v with %v", v.Kind, c.kind))
+		}
+		switch {
+		case !c.seen:
+			// Start all three members: the kind picks the one read.
+			c.seen = true
+			c.i.first(v.I)
+			c.f.first(v.F)
+			c.s.first(v.S)
+		case c.kind == record.KindFloat64:
+			c.monotone = c.f.next(v.F, c.monotone)
+		case c.kind == record.KindString:
+			c.monotone = c.s.next(v.S, c.monotone)
+		default:
+			c.monotone = c.i.next(v.I, c.monotone)
+		}
 	}
-	if record.Compare(v, c.min) < 0 {
-		c.min = v
-	}
-	if record.Compare(v, c.max) > 0 {
-		c.max = v
-	}
-	if c.monotone && record.Compare(v, c.prev) < 0 {
-		c.monotone = false
-	}
-	c.prev = v
 }
 
-// statsObserver wraps a load callback so every appended tuple updates the
-// per-column statistics.
-func statsObserver(schema *Schema, stats []colStats, add func(Tuple) error) func(Tuple) error {
+// minMax returns the column's minimum and maximum as Values.
+func (c *colStats) minMax() (min, max record.Value) {
+	switch c.kind {
+	case record.KindFloat64:
+		return record.Float64(c.f.min), record.Float64(c.f.max)
+	case record.KindString:
+		return record.String(c.s.min), record.String(c.s.max)
+	default:
+		return record.Value{Kind: c.kind, I: c.i.min}, record.Value{Kind: c.kind, I: c.i.max}
+	}
+}
+
+// statsObserver wraps a load callback so every tuple it accepts updates the
+// per-column statistics. A rejected tuple is not observed: the builder has
+// checked an accepted one against the schema.
+func statsObserver(stats []colStats, add func(Tuple) error) func(Tuple) error {
 	return func(t Tuple) error {
-		if len(t) == len(stats) {
-			for i := range t {
-				stats[i].observe(t[i])
-			}
+		if err := add(t); err != nil {
+			return err
 		}
-		return add(t)
+		observeRow(stats, t)
+		return nil
 	}
 }
 
@@ -71,7 +128,8 @@ func (t *Table) ColumnRange(column string) (min, max Value, ok bool) {
 	if ord >= len(stats) || !stats[ord].seen {
 		return Value{}, Value{}, false
 	}
-	return stats[ord].min, stats[ord].max, true
+	min, max = stats[ord].minMax()
+	return min, max, true
 }
 
 // Clustered reports whether the named column arrived in non-decreasing

@@ -3,11 +3,11 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench bench-pool bench-fold bench-sim bench-load bench-harness
+.PHONY: check vet lint build test race fuzz bench bench-pool bench-fold bench-sim bench-load bench-harness
 
 # Every target runs in turn and reports its wall time, so a slow gate names
 # the step that made it slow.
-CHECK_TARGETS = vet lint build test race fuzz test-policies test-translation test-serve test-push test-spans bench-harness
+CHECK_TARGETS = vet lint build test race fuzz bench-harness
 
 check:
 	@begin=$$(date +%s); \
@@ -45,11 +45,14 @@ test:
 	$(GO) test ./...
 
 # Race-detector pass over the concurrent layers, run twice to shake out
-# schedule-dependent failures, then again over the lock-striped pool, the
-# manager's park/wake protocol and the coalescing runner at constrained and
-# oversubscribed GOMAXPROCS — shard, wake-up and singleflight races surface
-# at different parallelism levels. See CONCURRENCY.md for the deterministic
-# seed-replay harness used to debug anything this finds.
+# schedule-dependent failures, then again at constrained and oversubscribed
+# GOMAXPROCS — shard, wake-up, singleflight, push hand-off, admission and
+# span-ring races surface at different parallelism levels: the lock-striped
+# pool and its optimistic-read proofs (torn reads, linearizability), the
+# manager's park/wake protocol, the runner with its replay, chaos, push and
+# span suites, the service, the shared-aggregation consumers, the trace ring,
+# and the root package's span and aggregation runs. See CONCURRENCY.md for the
+# deterministic seed-replay environment used to debug anything this finds.
 # The experiments run in virtual time, where sim.Kernel's processes are
 # coroutines that hand control to each other directly: the detector has no
 # interleaving to find there, so that package gets one -short pass (the shape
@@ -57,7 +60,8 @@ test:
 race:
 	$(GO) test -race -short -timeout 30m ./internal/experiments
 	$(GO) test -race -count=2 -timeout 30m $$($(GO) list ./internal/... | grep -v '/internal/experiments$$')
-	$(GO) test -race -cpu 2,8 ./internal/buffer ./internal/core ./internal/realtime ./internal/telemetry
+	$(GO) test -race -cpu 2,8 ./internal/buffer ./internal/core ./internal/realtime ./internal/telemetry ./internal/server ./internal/exec ./internal/trace
+	$(GO) test -race -cpu 2,8 -run 'TestSpan|TestRunRealtimeAggregates' .
 
 # Short coverage-guided fuzz passes: the SQL parser, the buffer pool's
 # operation-sequence fuzzer (which also covers the replacement-policy and
@@ -71,58 +75,6 @@ fuzz:
 	$(GO) test -fuzz FuzzPoolOps -fuzztime $(FUZZTIME) ./internal/buffer
 	$(GO) test -fuzz FuzzTranslation -fuzztime $(FUZZTIME) ./internal/buffer
 	$(GO) test -fuzz FuzzDecodeColumns -fuzztime $(FUZZTIME) ./internal/record
-
-# The differential policy harness: reference-model equivalence for every
-# replacement policy across shard counts, the estimator edge cases, the
-# replay-determinism regression, and a race pass over the same suites with
-# the predictive scan-feed path live.
-test-policies:
-	$(GO) test -run 'TestPoolMatchesReferenceModel|TestShardedPoolMatchesModel|TestNextUseEstimate|TestPredictiveVictimChoice' ./internal/buffer
-	$(GO) test -run 'TestPolicyReplay|TestGoldenChaosTrace' ./internal/realtime
-	$(GO) test -race -run 'TestShardedPoolMatchesModel|TestPolicyReplayDeterminism' ./internal/buffer ./internal/realtime
-
-# The optimistic-translation proof obligations (see CONCURRENCY.md): the
-# translation edge cases and differential matrix, the torn-read detector and
-# linearizability harness under the race detector at constrained and
-# oversubscribed GOMAXPROCS, and the array-translation replay-determinism
-# regression against the cooperative scheduler.
-test-translation:
-	$(GO) test -run 'TestTranslation|TestOptimistic|TestEvictionRacesValidatingReader|TestVersionWraparound|TestErrAllPinnedParity|TestMapTranslationNoOptimisticPath' ./internal/buffer
-	$(GO) test -race -cpu 2,8 -run 'TestOptimisticTornReads|TestOptimisticLinearizability' ./internal/buffer
-	$(GO) test -run 'TestTranslationReplayDeterminism' ./internal/realtime
-
-# The multi-tenant scan service suite under the race detector: wire protocol
-# edge cases, admission fast/queue/shed paths, deterministic weighted
-# round-robin dispatch, the 64-client x 4-tenant overload acceptance run
-# (shed > 0, per-tenant fairness within 10%), and the detach/rejoin chaos
-# run proving admission slots are released exactly once.
-test-serve:
-	$(GO) test -race -cpu 2,8 ./internal/server
-
-# The push-delivery proof obligations (see CONCURRENCY.md): the push-vs-pull
-# differential parity harness (byte-identical results, order-normalized page
-# visit equivalence, trace-journal exactly-once footprint tiling), the
-# backpressure starvation bound, the seeded chaos suite with same-seed
-# replay, the engine-level aggregation parity (pull/private vs push/private
-# vs push/shared, one physical scan), the shared-state unit suite, and the
-# aliasing suite (decoded varchars are views into the delivered page, so
-# nothing a fold or an operator retains may point into it) — all under the
-# race detector at constrained and oversubscribed GOMAXPROCS.
-test-push:
-	$(GO) test -race -cpu 2,8 -run 'TestPush|FuzzPushSubscribe' ./internal/realtime
-	$(GO) test -race -cpu 2,8 -run 'TestShared|TestGroupByConsumer|TestAliasing' ./internal/exec
-	$(GO) test -race -run 'TestRunRealtimeAggregates|TestServePushDelivery|TestDriverShedRetry' . ./internal/server
-
-# The causal-span proof obligations (see DESIGN.md's tracing section and
-# CONCURRENCY.md's ordering guarantees): span lifecycle/assembly units, the
-# drop-tolerant close-only reconstruction, chaos span-tree completeness under
-# fault-injected detach/rejoin and push demotion, shed-path request trees,
-# the ring-overflow dropped-count regression, the SLO flight-dump latch, and
-# the end-to-end acceptance run (span total within 1% of driver RTT, gap
-# <= 2%) — all under the race detector at constrained and oversubscribed
-# GOMAXPROCS.
-test-spans:
-	$(GO) test -race -cpu 2,8 -run 'TestSpan' ./internal/trace ./internal/realtime ./internal/server ./internal/telemetry .
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...

@@ -328,7 +328,8 @@ func (p *Pool) SetTracer(tr *trace.Tracer) {
 
 // NewPool creates a single-shard pool with room for capacity pages. A
 // single-shard pool behaves exactly like the classic global-mutex design —
-// deterministic replay (Sched) and the golden-timeline tests depend on that.
+// the deterministic replays (realtime.KernelEnv) and the golden-timeline
+// tests depend on that.
 func NewPool(capacity int) (*Pool, error) {
 	return NewPoolShards(capacity, 1)
 }

@@ -11,11 +11,12 @@
 // function of (plan seed, rule index, page ID, attempt number) — a hash, not
 // a shared RNG stream — so the decision for "attempt 2 on page 117" is the
 // same no matter which goroutine issues it, in which order, on which machine.
-// A chaos run therefore replays bit-for-bit under the deterministic Sched
-// harness, and even free-running -race runs see the same per-page failure
-// schedule. Plans deliberately have no global mutable trigger state (no "fail
-// the next N reads" counters), because any such state would make the schedule
-// depend on goroutine interleaving.
+// Injected latency and stalls take their time on the caller's Env, so a chaos
+// run replays bit-for-bit in the realtime runner's virtual-time environment,
+// and even free-running -race runs see the same per-page failure schedule.
+// Plans deliberately have no global mutable trigger state (no "fail the next
+// N reads" counters), because any such state would make the schedule depend
+// on goroutine interleaving.
 package fault
 
 import (
@@ -190,17 +191,30 @@ func (c Counters) String() string {
 		c.Reads, c.InjectedErrors, c.LatencyEvents, c.InjectedLatency, c.Stalls, c.TornReads)
 }
 
+// Env is the clock a read's injected latency and stalls are waited out on:
+// the realtime runner passes its environment, so a fault costs wall time in
+// production and virtual time in a replay.
+type Env interface {
+	// Sleep waits d, or less if ctx ends first.
+	Sleep(ctx context.Context, d time.Duration)
+}
+
+// wallEnv waits on the wall clock, for ReadPage.
+type wallEnv struct{}
+
+func (wallEnv) Sleep(_ context.Context, d time.Duration) { time.Sleep(d) }
+
+// forever is how long a stall waits when nothing bounds it.
+const forever = time.Duration(1<<63 - 1)
+
 // Store wraps a Reader and applies a Plan to every read. It is safe for
 // concurrent use. It implements both the plain ReadPage interface (attempt 0,
-// background context) and the context- and attempt-aware extension the
-// realtime runner probes for, so retries see fresh fault decisions.
+// wall clock, no bound) and the attempt-aware extension the realtime runner
+// probes for, so retries see fresh fault decisions and injected waits run on
+// the runner's clock.
 type Store struct {
 	inner Reader
 	plan  Plan
-
-	// sleep implements latency injection; the deterministic harness
-	// substitutes a virtual-clock advance via SetSleep.
-	sleep func(ctx context.Context, d time.Duration)
 
 	reads          atomic.Int64
 	injectedErrors atomic.Int64
@@ -218,7 +232,7 @@ func NewStore(inner Reader, plan Plan) (*Store, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	return &Store{inner: inner, plan: plan, sleep: ctxSleep}, nil
+	return &Store{inner: inner, plan: plan}, nil
 }
 
 // MustNewStore is NewStore for known-good plans; it panics on error.
@@ -230,26 +244,19 @@ func MustNewStore(inner Reader, plan Plan) *Store {
 	return s
 }
 
-// SetSleep replaces the wall-clock sleep used for latency injection.
-// Deterministic harnesses pass a virtual-clock advance so latency spikes
-// cost no wall time and traces stay machine-independent. Call before any
-// reads are issued.
-func (s *Store) SetSleep(fn func(ctx context.Context, d time.Duration)) {
-	if fn != nil {
-		s.sleep = fn
-	}
-}
-
-// ReadPage serves attempt 0 under a background context. Stall faults block
-// until the process exits under this entry point — callers that can see
-// stalls should use ReadPageAt with a cancellable context.
+// ReadPage serves attempt 0 on the wall clock with no timeout. Stall faults
+// block until the process exits under this entry point — callers that can
+// see stalls should use ReadPageAt with a timeout or a cancellable context.
 func (s *Store) ReadPage(pid disk.PageID) ([]byte, error) {
-	return s.ReadPageAt(context.Background(), pid, 0)
+	return s.ReadPageAt(context.Background(), wallEnv{}, 0, pid, 0)
 }
 
 // ReadPageAt serves one read attempt, applying the plan's decision for
-// (pid, attempt) before delegating to the wrapped reader.
-func (s *Store) ReadPageAt(ctx context.Context, pid disk.PageID, attempt int) ([]byte, error) {
+// (pid, attempt) before delegating to the wrapped reader. Injected latency
+// and stalls wait on env for at most timeout (0: no bound) and until ctx
+// ends; a wait the timeout cuts short fails the read with
+// context.DeadlineExceeded, one ctx ends with ctx's error.
+func (s *Store) ReadPageAt(ctx context.Context, env Env, timeout time.Duration, pid disk.PageID, attempt int) ([]byte, error) {
 	s.reads.Add(1)
 	switch i := s.plan.decide(pid, attempt); {
 	case i < 0:
@@ -260,14 +267,12 @@ func (s *Store) ReadPageAt(ctx context.Context, pid disk.PageID, attempt int) ([
 	case s.plan.Rules[i].Kind == KindLatency:
 		s.latencyEvents.Add(1)
 		s.latencyNanos.Add(int64(s.plan.Rules[i].Latency))
-		s.sleep(ctx, s.plan.Rules[i].Latency)
-		if ctx.Err() != nil {
-			return nil, fmt.Errorf("page %d attempt %d: %w", pid, attempt, ctx.Err())
+		if err := wait(ctx, env, s.plan.Rules[i].Latency, timeout); err != nil {
+			return nil, fmt.Errorf("page %d attempt %d: %w", pid, attempt, err)
 		}
 	case s.plan.Rules[i].Kind == KindStall:
 		s.stalls.Add(1)
-		<-ctx.Done()
-		return nil, fmt.Errorf("page %d attempt %d stalled: %w", pid, attempt, ctx.Err())
+		return nil, fmt.Errorf("page %d attempt %d stalled: %w", pid, attempt, wait(ctx, env, forever, timeout))
 	case s.plan.Rules[i].Kind == KindTorn:
 		s.tornReads.Add(1)
 		data, err := s.inner.ReadPage(pid)
@@ -292,15 +297,20 @@ func (s *Store) Counters() Counters {
 	}
 }
 
-// ctxSleep waits for d or until ctx is done, whichever comes first.
-func ctxSleep(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
+// wait spends d on env, cut short by timeout (if positive) or by ctx. It
+// returns nil when the whole of d passed, context.DeadlineExceeded when the
+// timeout ended it, and ctx's error when ctx did.
+func wait(ctx context.Context, env Env, d, timeout time.Duration) error {
+	cut := timeout > 0 && d >= timeout
+	if cut {
+		d = timeout
 	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
+	env.Sleep(ctx, d)
+	if err := ctx.Err(); err != nil {
+		return err
 	}
+	if cut {
+		return context.DeadlineExceeded
+	}
+	return nil
 }

@@ -19,6 +19,28 @@ func (s memStore) ReadPage(pid disk.PageID) ([]byte, error) {
 	return data, nil
 }
 
+// recEnv records the time a store asks it to wait instead of waiting, and
+// honors ctx by waiting nothing once it has ended.
+type recEnv struct{ slept time.Duration }
+
+func (e *recEnv) Sleep(ctx context.Context, d time.Duration) {
+	if ctx.Err() == nil {
+		e.slept += d
+	}
+}
+
+// ctxEnv waits on the wall clock until d passes or ctx ends.
+type ctxEnv struct{}
+
+func (ctxEnv) Sleep(ctx context.Context, d time.Duration) {
+	t := time.NewTimer(d)
+	defer t.Stop()
+	select {
+	case <-t.C:
+	case <-ctx.Done():
+	}
+}
+
 func TestPlanValidate(t *testing.T) {
 	bad := []Plan{
 		{Rules: []Rule{{Kind: Kind(99), Prob: 0.5}}},
@@ -125,13 +147,13 @@ func TestErrorInjection(t *testing.T) {
 		{Kind: KindError, Prob: 1, FirstPage: 10, LastPage: 19, UntilAttempt: 2},
 	}})
 	ctx := context.Background()
-	if _, err := st.ReadPageAt(ctx, 10, 0); !errors.Is(err, ErrInjected) {
+	if _, err := st.ReadPageAt(ctx, ctxEnv{}, 0, 10, 0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("attempt 0: err = %v, want ErrInjected", err)
 	}
-	if _, err := st.ReadPageAt(ctx, 10, 1); !errors.Is(err, ErrInjected) {
+	if _, err := st.ReadPageAt(ctx, ctxEnv{}, 0, 10, 1); !errors.Is(err, ErrInjected) {
 		t.Fatalf("attempt 1: err = %v, want ErrInjected", err)
 	}
-	data, err := st.ReadPageAt(ctx, 10, 2)
+	data, err := st.ReadPageAt(ctx, ctxEnv{}, 0, 10, 2)
 	if err != nil || data[0] != 10 {
 		t.Fatalf("attempt 2: data %v err %v, want healthy read", data, err)
 	}
@@ -148,16 +170,23 @@ func TestLatencyInjection(t *testing.T) {
 	st := MustNewStore(memStore{pageBytes: 8}, Plan{Rules: []Rule{
 		{Kind: KindLatency, Prob: 1, Latency: 50 * time.Millisecond},
 	}})
-	// Virtualized sleep: record instead of blocking.
-	var slept time.Duration
-	st.SetSleep(func(ctx context.Context, d time.Duration) { slept += d })
-	if _, err := st.ReadPage(3); err != nil {
+	// The latency is spent on the caller's environment, here a recorder.
+	env := new(recEnv)
+	if _, err := st.ReadPageAt(context.Background(), env, 0, 3, 0); err != nil {
 		t.Fatal(err)
 	}
-	if slept != 50*time.Millisecond {
-		t.Errorf("slept %v, want 50ms", slept)
+	if env.slept != 50*time.Millisecond {
+		t.Errorf("slept %v, want 50ms", env.slept)
 	}
-	if c := st.Counters(); c.LatencyEvents != 1 || c.InjectedLatency != 50*time.Millisecond {
+	// A timeout shorter than the latency cuts the wait at the timeout.
+	env = new(recEnv)
+	if _, err := st.ReadPageAt(context.Background(), env, 20*time.Millisecond, 3, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("read past its timeout returned %v, want DeadlineExceeded", err)
+	}
+	if env.slept != 20*time.Millisecond {
+		t.Errorf("slept %v, want the 20ms timeout", env.slept)
+	}
+	if c := st.Counters(); c.LatencyEvents != 2 || c.InjectedLatency != 100*time.Millisecond {
 		t.Errorf("counters %+v", c)
 	}
 }
@@ -169,19 +198,27 @@ func TestStallHonorsContext(t *testing.T) {
 	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 	defer cancel()
 	start := time.Now()
-	_, err := st.ReadPageAt(ctx, 7, 0)
+	_, err := st.ReadPageAt(ctx, ctxEnv{}, 0, 7, 0)
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("stalled read returned %v, want DeadlineExceeded", err)
 	}
 	if time.Since(start) < 5*time.Millisecond {
 		t.Error("stall returned before the context deadline")
 	}
+	// A read timeout ends a stall too, on the caller's clock.
+	env := new(recEnv)
+	if _, err := st.ReadPageAt(context.Background(), env, 3*time.Millisecond, 7, 0); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("stall under a read timeout returned %v, want DeadlineExceeded", err)
+	}
+	if env.slept != 3*time.Millisecond {
+		t.Errorf("stall waited %v, want the 3ms timeout", env.slept)
+	}
 	// Attempt 1 is past the stall window: the retry recovers.
-	if _, err := st.ReadPageAt(context.Background(), 7, 1); err != nil {
+	if _, err := st.ReadPageAt(context.Background(), ctxEnv{}, 0, 7, 1); err != nil {
 		t.Fatalf("recovery attempt failed: %v", err)
 	}
-	if c := st.Counters(); c.Stalls != 1 {
-		t.Errorf("stalls = %d, want 1", c.Stalls)
+	if c := st.Counters(); c.Stalls != 2 {
+		t.Errorf("stalls = %d, want 2", c.Stalls)
 	}
 }
 

@@ -11,13 +11,11 @@ import (
 )
 
 // TestRunnerScanAllocationsFlat pins the pull path's per-page allocation
-// ceiling at zero: a scan with read coalescing and two prefetch workers
+// ceiling at zero: a scan (reads always coalesce) with two prefetch workers
 // allocates no more over a 1 024-page table than over a 64-page one. The
 // pool's frames come from its arena, a flight nobody joined is recycled,
 // and a prefetch request names its extent by index range, so what a run
-// allocates is its fixed setup (goroutines, results, registrations). A
-// coalesced wait still makes its flight's done channel, so the bound leaves
-// room for a few of those.
+// allocates is its fixed setup (goroutines, results, registrations).
 func TestRunnerScanAllocationsFlat(t *testing.T) {
 	if heaptest.RaceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -34,7 +32,6 @@ func TestRunnerScanAllocationsFlat(t *testing.T) {
 			Manager:         core.MustNewManager(testManagerConfig(poolPages)),
 			Store:           store,
 			PrefetchWorkers: 2,
-			CoalesceReads:   true,
 		})
 		if err != nil {
 			t.Fatal(err)

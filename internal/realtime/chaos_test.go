@@ -206,13 +206,16 @@ func runChaosStress(t *testing.T, translation string) {
 	// is exact.
 	fullSum := wantChecksum(base, 0, tablePages, pageBytes) - wantChecksum(base, badFirst, badLast+1, pageBytes)
 	partialSum := wantChecksum(base, 50, 250, pageBytes)
-	var sum struct{ retries, timeouts, degraded, detaches, rejoins, pages int64 }
+	// Reads coalesce: a scan whose wait on another scan's read ended in
+	// that read's failure records a degraded page without a miss of its own.
+	var sum struct{ retries, timeouts, degraded, coalescedFailures, detaches, rejoins, pages int64 }
 	for i, res := range results {
 		spec := specs[i]
-		if res.Hits+res.Misses != int64(res.PagesRead+res.DegradedPages) {
-			t.Errorf("scan %d: hits %d + misses %d != pages %d + degraded %d",
-				i, res.Hits, res.Misses, res.PagesRead, res.DegradedPages)
+		if res.Hits+res.Misses != int64(res.PagesRead+res.DegradedPages)-res.CoalescedFailures {
+			t.Errorf("scan %d: hits %d + misses %d != pages %d + degraded %d - coalesced failures %d",
+				i, res.Hits, res.Misses, res.PagesRead, res.DegradedPages, res.CoalescedFailures)
 		}
+		sum.coalescedFailures += res.CoalescedFailures
 		sum.retries += res.ReadRetries
 		sum.timeouts += res.ReadTimeouts
 		sum.degraded += int64(res.DegradedPages)
@@ -240,7 +243,9 @@ func runChaosStress(t *testing.T, translation string) {
 		if res.Checksum != fullSum {
 			t.Errorf("scan %d: checksum %d, want %d (read wrong pages?)", i, res.Checksum, fullSum)
 		}
-		if res.Detaches < 1 {
+		// A scan detaches on its own failed reads; one that met every bad
+		// page as a coalesced failure never read one itself.
+		if res.Detaches < 1 && res.CoalescedFailures < int64(badLast-badFirst+1) {
 			t.Errorf("scan %d crossed the bad band without detaching", i)
 		}
 	}
@@ -258,9 +263,11 @@ func runChaosStress(t *testing.T, translation string) {
 		t.Errorf("collector failure counters %+v disagree with result sums %+v", cs, sum)
 	}
 	// The collector counts every acquired page, including ones whose read
-	// later failed — the degraded pages appear as misses.
-	if cs.PagesRead != sum.pages+sum.degraded {
-		t.Errorf("collector pages %d, results total %d + %d degraded", cs.PagesRead, sum.pages, sum.degraded)
+	// later failed — the degraded pages appear as misses, except those a
+	// scan met as a coalesced failure, which it never acquired.
+	if cs.PagesRead != sum.pages+sum.degraded-sum.coalescedFailures {
+		t.Errorf("collector pages %d, results total %d + %d degraded - %d coalesced failures",
+			cs.PagesRead, sum.pages, sum.degraded, sum.coalescedFailures)
 	}
 	st := mgr.Stats()
 	if st.ScanDetaches != sum.detaches || st.ScanRejoins != sum.rejoins {
@@ -308,12 +315,12 @@ func runChaosStress(t *testing.T, translation string) {
 	}
 }
 
-// chaosRun executes one Sched-harnessed run with fault injection and returns
-// the scheduling trace, the manager event trace, and the results. Latency
-// faults advance the virtual clock, and stalls resolve through the wall-clock
-// read timeout while every other worker stays parked, so the whole run is a
-// pure function of the two seeds.
-func chaosRun(t *testing.T, schedSeed, faultSeed int64) ([]TraceStep, []core.Event, []ScanResult) {
+// chaosRun executes one KernelEnv run with fault injection and prefetch
+// workers (0 for none) and returns the schedule, the manager event trace,
+// and the results. Latency faults and stalls wait on the virtual clock, the
+// read timeout is a deadline on it, so the whole run is a pure function of
+// the two seeds.
+func chaosRun(t *testing.T, schedSeed, faultSeed int64, prefetch int) ([]TraceStep, []core.Event, []ScanResult) {
 	t.Helper()
 	const (
 		tablePages = 160
@@ -338,15 +345,15 @@ func chaosRun(t *testing.T, schedSeed, faultSeed int64) ([]TraceStep, []core.Eve
 	var events []core.Event
 	mgr.SetOnEvent(func(ev core.Event) { events = append(events, ev) })
 
-	sched := NewSched(schedSeed, scans, 500*time.Microsecond)
-	store.SetSleep(sched.Sleep) // latency spikes advance the virtual clock
+	env := NewKernelEnv(schedSeed, 500*time.Microsecond)
+	hook, steps := stepRecorder(env)
 	r, err := NewRunner(Config{
 		Pool:                  pool,
 		Manager:               mgr,
 		Store:                 store,
-		Clock:                 sched.Clock(),
-		Sleep:                 sched.Sleep,
-		Hook:                  sched.Hook,
+		Env:                   env,
+		Hook:                  hook,
+		PrefetchWorkers:       prefetch,
 		ReadTimeout:           time.Millisecond,
 		MaxReadRetries:        3,
 		DetachAfterFailures:   2,
@@ -377,7 +384,7 @@ func chaosRun(t *testing.T, schedSeed, faultSeed int64) ([]TraceStep, []core.Eve
 		t.Fatalf("sched seed %d: %d scans leaked", schedSeed, n)
 	}
 	pool.CheckInvariants()
-	return sched.Trace(), events, results
+	return *steps, events, results
 }
 
 // TestChaosReplaysSeed is the fault-layer determinism guarantee end to end:
@@ -385,8 +392,8 @@ func chaosRun(t *testing.T, schedSeed, faultSeed int64) ([]TraceStep, []core.Eve
 // trace, an identical manager event trace — detach and rejoin transitions
 // included, timestamps and all — and identical per-scan results.
 func TestChaosReplaysSeed(t *testing.T) {
-	trace1, events1, res1 := chaosRun(t, 42, 9)
-	trace2, events2, res2 := chaosRun(t, 42, 9)
+	trace1, events1, res1 := chaosRun(t, 42, 9, 0)
+	trace2, events2, res2 := chaosRun(t, 42, 9, 0)
 	if len(trace1) == 0 {
 		t.Fatal("empty schedule trace")
 	}
@@ -428,11 +435,11 @@ func TestChaosReplaysSeed(t *testing.T) {
 
 	// A different schedule seed must explore a different interleaving, and a
 	// different fault seed a different failure schedule.
-	trace3, _, _ := chaosRun(t, 1337, 9)
+	trace3, _, _ := chaosRun(t, 1337, 9, 0)
 	if reflect.DeepEqual(trace1, trace3) {
 		t.Logf("sched seeds 42 and 1337 produced identical traces (%d steps)", len(trace1))
 	}
-	_, _, res4 := chaosRun(t, 42, 10)
+	_, _, res4 := chaosRun(t, 42, 10, 0)
 	same := true
 	for i := range res1 {
 		if res1[i].ReadRetries != res4[i].ReadRetries || res1[i].ReadTimeouts != res4[i].ReadTimeouts {
@@ -444,15 +451,18 @@ func TestChaosReplaysSeed(t *testing.T) {
 	}
 }
 
-// TestChaosSweep replays a small sweep of (schedule, fault) seed pairs; every
-// pair must reproduce its own trace. This is the debugging loop a chaos
-// failure would be hunted with, kept in-tree so it cannot rot.
+// TestChaosSweep replays a small sweep of (schedule, fault) seed pairs, with
+// and without two prefetch workers; every pair must reproduce its own trace.
+// This is the debugging loop a chaos failure would be hunted with, kept
+// in-tree so it cannot rot.
 func TestChaosSweep(t *testing.T) {
-	for seed := int64(0); seed < 4; seed++ {
-		a, _, _ := chaosRun(t, seed, seed+100)
-		b, _, _ := chaosRun(t, seed, seed+100)
-		if !reflect.DeepEqual(a, b) {
-			t.Errorf("seed pair (%d,%d) did not replay", seed, seed+100)
+	for _, prefetch := range []int{0, 2} {
+		for seed := int64(0); seed < 4; seed++ {
+			a, _, _ := chaosRun(t, seed, seed+100, prefetch)
+			b, _, _ := chaosRun(t, seed, seed+100, prefetch)
+			if !reflect.DeepEqual(a, b) {
+				t.Errorf("seed pair (%d,%d) with %d prefetch workers did not replay", seed, seed+100, prefetch)
+			}
 		}
 	}
 }

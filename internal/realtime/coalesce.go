@@ -1,6 +1,7 @@
 package realtime
 
 import (
+	"context"
 	"sync"
 
 	"scanshare/internal/disk"
@@ -9,42 +10,42 @@ import (
 // flightTable is the singleflight registry for physical page reads. A caller
 // that wins a pool Miss registers its read here before touching the store;
 // any other scan that then misses on the same page (the pool reports Busy
-// while the frame is pending) joins the flight and blocks on its done
-// channel instead of sleep-polling. When the read completes — Fill or Abort,
-// success or failure — the leader publishes the outcome and closes the
-// channel, waking every waiter at once.
+// while the frame is pending) joins the flight and parks instead of
+// sleep-polling. When the read completes — Fill or Abort, success or failure
+// — the leader hands the outcome to every waiter and wakes them.
 //
 // The pool already guarantees at most one pending read per page (the pending
 // frame), so at most one live flight exists per page id; the table just
-// makes that read's completion observable. All methods are safe on a nil
-// *flightTable, which is how the runner spells "coalescing disabled".
-//
-// Coalescing waiters block on channels, not at Hook sites, so this layer is
-// incompatible with the deterministic Sched harness (which requires every
-// live worker to park at a hook); Config.CoalesceReads is therefore opt-in
-// and off in all replay-based tests. See CONCURRENCY.md.
+// makes that read's completion observable. Waiters park through the
+// runner's Env like every other wait.
 type flightTable struct {
 	mu sync.Mutex
 	m  map[disk.PageID]*flight
-	// free holds finished flights that nobody joined, for begin to reuse:
-	// once finish has removed such a flight from m, its leader held the
-	// only reference and is done with it. Guarded by mu.
+	// free holds finished flights for begin to reuse: once finish has
+	// removed a flight from m and handed its outcome to its waiters, its
+	// leader held the only reference and is done with it. Guarded by mu.
 	free []*flight
 }
 
-// flight is one in-flight physical read. Most reads finish with nobody
-// waiting, so done is made by the first waiter (join, under the table lock)
-// and a flight that was never joined has none to close — finish recycles it
-// instead, so a miss nobody else wanted allocates nothing. A joined flight
-// is never reused: its waiters read err after the close, whenever they
-// wake. err is written exactly once, before done is closed; the channel
-// close is the happens-before edge that lets waiters read it without the
-// table lock. fallback marks a best-effort (prefetch) read: its failure
-// tells waiters to re-acquire and read the page themselves under their own
-// retry policy, rather than inheriting an error from a reader that never
-// retries.
+// flight is one in-flight physical read: the waiters that joined it, and
+// whether it is a best-effort (prefetch) read, whose failure tells waiters
+// to re-acquire and read the page themselves under their own retry policy
+// rather than inherit an error from a reader that never retries. Guarded by
+// the table's mu.
 type flight struct {
-	done     chan struct{}
+	waiters  *flightWaiter
+	fallback bool
+}
+
+// flightWaiter is one worker's place on a flight's wait list, made at its
+// first coalesced wait and reused for every later one. Every field but wake
+// is guarded by the table's mu.
+type flightWaiter struct {
+	wake chan struct{} // finish's token, room for one
+	next *flightWaiter
+	// fl is the flight waited on, nil once finish handed over its outcome
+	// (err, fallback) or the waiter left.
+	fl       *flight
 	err      error
 	fallback bool
 }
@@ -54,11 +55,8 @@ func newFlightTable() *flightTable {
 }
 
 // begin registers a flight for pid, reusing a recycled one when it can, and
-// returns it. Returns nil on a nil table (coalescing disabled).
+// returns it.
 func (t *flightTable) begin(pid disk.PageID, fallback bool) *flight {
-	if t == nil {
-		return nil
-	}
 	t.mu.Lock()
 	var fl *flight
 	if n := len(t.free) - 1; n >= 0 {
@@ -74,48 +72,67 @@ func (t *flightTable) begin(pid disk.PageID, fallback bool) *flight {
 	return fl
 }
 
-// join registers the caller as a waiter on pid's live flight, if there is
-// one, and returns it together with the channel its finish will close.
-func (t *flightTable) join(pid disk.PageID) (*flight, <-chan struct{}, bool) {
-	if t == nil {
-		return nil, nil, false
-	}
+// join puts the worker's waiter *wp on pid's live flight, if there is one,
+// making the waiter at the worker's first join.
+func (t *flightTable) join(pid disk.PageID, wp **flightWaiter) bool {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	fl, ok := t.m[pid]
 	if !ok {
-		return nil, nil, false
+		return false
 	}
-	if fl.done == nil {
-		fl.done = make(chan struct{})
+	if *wp == nil {
+		*wp = &flightWaiter{wake: make(chan struct{}, 1)}
 	}
-	return fl, fl.done, true
+	w := *wp
+	w.fl, w.err, w.fallback = fl, nil, false
+	w.next, fl.waiters = fl.waiters, w
+	return true
 }
 
-// finish publishes the read's outcome and wakes all waiters. The leader must
-// settle the pool frame first (Fill on success, Abort on failure) so a woken
-// waiter's re-Acquire observes the final state: Hit after a fill, Miss after
-// an abort. The delete is pointer-guarded so a finish racing a newer flight
-// for the same page never removes the newer entry; once the entry is gone no
-// waiter can join, so the done channel read under the lock is final — and a
-// flight without one goes back on the freelist. The leader must not touch fl
-// after finish. No-op when t or fl is nil.
-func (t *flightTable) finish(pid disk.PageID, fl *flight, err error) {
-	if t == nil || fl == nil {
-		return
+// wait parks w's worker on env until the flight it joined finishes, and
+// reports true with the outcome in w.err and w.fallback. If ctx ends first
+// it takes w off the flight and reports false.
+func (t *flightTable) wait(ctx context.Context, env Env, w *flightWaiter) bool {
+	for {
+		env.Park(ctx, w.wake, 0) // a stale token from an earlier wait parks again
+		t.mu.Lock()
+		fl := w.fl
+		left := fl != nil && ctx.Err() != nil
+		if left {
+			for p := &fl.waiters; *p != nil; p = &(*p).next {
+				if *p == w {
+					*p = w.next
+					break
+				}
+			}
+			w.fl, w.next = nil, nil
+		}
+		t.mu.Unlock()
+		if fl == nil || left {
+			return fl == nil
+		}
 	}
-	fl.err = err
+}
+
+// finish hands the read's outcome to every waiter, wakes them, and recycles
+// the flight. The leader must settle the pool frame first (Fill on success,
+// Abort on failure) so a woken waiter's re-Acquire observes the final state:
+// Hit after a fill, Miss after an abort. The delete is pointer-guarded so a
+// finish racing a newer flight for the same page never removes the newer
+// entry. The leader must not touch fl after finish.
+func (t *flightTable) finish(pid disk.PageID, fl *flight, err error) {
 	t.mu.Lock()
 	if t.m[pid] == fl {
 		delete(t.m, pid)
 	}
-	done := fl.done
-	if done == nil {
-		*fl = flight{}
-		t.free = append(t.free, fl)
+	for w := fl.waiters; w != nil; {
+		next := w.next
+		w.next, w.fl, w.err, w.fallback = nil, nil, err, fl.fallback
+		signal(w.wake)
+		w = next
 	}
+	*fl = flight{}
+	t.free = append(t.free, fl)
 	t.mu.Unlock()
-	if done != nil {
-		close(done)
-	}
 }

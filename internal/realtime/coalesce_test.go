@@ -63,11 +63,10 @@ func TestCoalesceSharesOneRead(t *testing.T) {
 	pool := buffer.MustNewPool(8)
 	mgr := core.MustNewManager(testManagerConfig(8))
 	r, err := NewRunner(Config{
-		Pool:          pool,
-		Manager:       mgr,
-		Store:         store,
-		Collector:     col,
-		CoalesceReads: true,
+		Pool:      pool,
+		Manager:   mgr,
+		Store:     store,
+		Collector: col,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -121,11 +120,10 @@ func TestCoalescedFailurePropagates(t *testing.T) {
 	pool := buffer.MustNewPool(8)
 	mgr := core.MustNewManager(testManagerConfig(8))
 	r, err := NewRunner(Config{
-		Pool:          pool,
-		Manager:       mgr,
-		Store:         store,
-		Collector:     col,
-		CoalesceReads: true,
+		Pool:      pool,
+		Manager:   mgr,
+		Store:     store,
+		Collector: col,
 		// First error is final: one physical attempt total proves waiters
 		// inherit the outcome instead of re-running a retry ladder each.
 	})
@@ -211,7 +209,6 @@ func TestCoalesceChaosStress(t *testing.T) {
 		Store:                 store,
 		Collector:             col,
 		PrefetchWorkers:       4,
-		CoalesceReads:         true,
 		ReadTimeout:           2 * time.Millisecond,
 		MaxReadRetries:        3,
 		RetryBackoff:          50 * time.Microsecond,
@@ -305,9 +302,10 @@ func TestCoalesceChaosStress(t *testing.T) {
 }
 
 // TestFlightNoWaiterAllocs pins the cost of a miss nobody else wanted:
-// nothing, since finish recycles a flight nobody joined and the next begin
-// reuses it. The done channel exists only once a waiter has joined, and a
-// joined flight still wakes its waiter and is never handed out again.
+// nothing, since finish recycles the flight and the next begin reuses it. A
+// joined flight hands its outcome to the waiter's own record and wakes it,
+// so it is recycled just the same, and a waiter that leaves before the read
+// finishes is off the list the finish walks.
 func TestFlightNoWaiterAllocs(t *testing.T) {
 	ft := newFlightTable()
 	ft.finish(1, ft.begin(1, false), nil) // size the map, seed the freelist
@@ -320,27 +318,45 @@ func TestFlightNoWaiterAllocs(t *testing.T) {
 		}
 	}
 
-	fl := ft.begin(2, false)
-	joined, done, ok := ft.join(2)
-	if !ok || joined != fl {
-		t.Fatalf("join = %p, %v; want the live flight %p", joined, ok, fl)
+	var w *flightWaiter
+	if ft.join(2, &w) || w != nil {
+		t.Fatal("joined a flight that does not exist, or made a waiter for it")
+	}
+	fl := ft.begin(2, true)
+	if !ft.join(2, &w) || w.fl != fl {
+		t.Fatalf("join did not put the waiter on the live flight %p", fl)
 	}
 	wantErr := errors.New("read failed")
 	ft.finish(2, fl, wantErr)
 	select {
-	case <-done:
+	case <-w.wake:
 	default:
-		t.Fatal("finish did not close the joined flight's channel")
+		t.Fatal("finish did not wake the joined waiter")
 	}
-	if joined.err != wantErr {
-		t.Errorf("waiter sees err %v, want %v", joined.err, wantErr)
+	if w.fl != nil || w.err != wantErr || !w.fallback {
+		t.Errorf("waiter holds flight %p, err %v, fallback %v; want nil, %v, true", w.fl, w.err, w.fallback, wantErr)
 	}
-	if _, _, ok := ft.join(2); ok {
+	if ft.join(2, &w) {
 		t.Error("a finished flight can still be joined")
 	}
-	if next := ft.begin(3, true); next == joined {
-		t.Error("a joined flight was recycled while its waiter may still read it")
-	} else if next.done != nil || next.err != nil || !next.fallback {
-		t.Errorf("recycled flight not reset: done %v, err %v, fallback %v", next.done, next.err, next.fallback)
+	if next := ft.begin(3, false); next != fl {
+		t.Error("a joined flight was not recycled")
+	} else if next.waiters != nil || next.fallback {
+		t.Errorf("recycled flight not reset: waiters %p, fallback %v", next.waiters, next.fallback)
+	}
+
+	// A waiter whose context ends leaves the list; the finish that follows
+	// neither wakes nor writes it.
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if !ft.join(3, &w) {
+		t.Fatal("join missed the live flight")
+	}
+	if ft.wait(ctx, new(goEnv), w) {
+		t.Error("a cancelled wait reported the flight finished")
+	}
+	ft.finish(3, ft.m[3], wantErr)
+	if w.err != nil || len(w.wake) != 0 {
+		t.Errorf("a departed waiter was handed err %v, %d wake tokens", w.err, len(w.wake))
 	}
 }

@@ -18,9 +18,9 @@ import (
 
 var updateGolden = flag.Bool("update", false, "rewrite golden files with the current output")
 
-// goldenChaosScript runs the fixed 4-scan fault script under the Sched
-// harness and renders everything observable — the scheduling trace, the
-// manager decision events, and the per-scan outcomes — as one text artifact.
+// goldenChaosScript runs the fixed 4-scan fault script in a KernelEnv and
+// renders everything observable — the schedule of hook sites, the manager
+// decision events, and the per-scan outcomes — as one text artifact.
 // Every timestamp is virtual, every fault decision is a pure hash, so the
 // artifact is byte-identical across runs, machines, and -race: any diff is a
 // real behavior change.
@@ -32,7 +32,7 @@ func goldenChaosScript(t *testing.T) string {
 // policy; the replay-determinism test runs it for every policy, the golden
 // test pins the priority-LRU rendering byte-for-byte.
 func chaosScript(t *testing.T, policy string) string {
-	return chaosScriptXlate(t, policy, buffer.TranslationMap)
+	return chaosScriptXlate(t, policy, buffer.TranslationMap, 0)
 }
 
 // chaosScriptXlate additionally parameterizes the translation table. Map
@@ -40,8 +40,9 @@ func chaosScript(t *testing.T, policy string) string {
 // optimistic path is structurally absent there); array translation adds an
 // "opt N" field per scan, which the translation-replay test uses to prove
 // the lock-free path both fired and replayed deterministically under the
-// cooperative scheduler.
-func chaosScriptXlate(t *testing.T, policy, translation string) string {
+// cooperative scheduler. prefetch is the number of prefetch workers; the
+// goldens pin 0.
+func chaosScriptXlate(t *testing.T, policy, translation string, prefetch int) string {
 	t.Helper()
 	const (
 		tablePages = 100
@@ -66,15 +67,15 @@ func chaosScriptXlate(t *testing.T, policy, translation string) string {
 	var events []core.Event
 	mgr.SetOnEvent(func(ev core.Event) { events = append(events, ev) })
 
-	sched := NewSched(23, scans, 400*time.Microsecond)
-	store.SetSleep(sched.Sleep)
+	env := NewKernelEnv(23, 400*time.Microsecond)
+	hook, steps := stepRecorder(env)
 	r, err := NewRunner(Config{
 		Pool:                  pool,
 		Manager:               mgr,
 		Store:                 store,
-		Clock:                 sched.Clock(),
-		Sleep:                 sched.Sleep,
-		Hook:                  sched.Hook,
+		Env:                   env,
+		Hook:                  hook,
+		PrefetchWorkers:       prefetch,
 		ReadTimeout:           time.Millisecond,
 		MaxReadRetries:        3,
 		DetachAfterFailures:   2,
@@ -104,9 +105,9 @@ func chaosScriptXlate(t *testing.T, policy, translation string) string {
 	pool.CheckInvariants()
 
 	var b strings.Builder
-	b.WriteString("# golden chaos trace: 4 scans, fault plan seed 11, sched seed 23\n")
+	b.WriteString("# golden chaos trace: 4 scans, fault plan seed 11, kernel seed 23\n")
 	b.WriteString("\n[schedule]\n")
-	b.WriteString(FormatTrace(sched.Trace()))
+	b.WriteString(FormatTrace(*steps))
 	b.WriteString("\n[events]\n")
 	for _, ev := range events {
 		b.WriteString(ev.String())
@@ -126,6 +127,11 @@ func chaosScriptXlate(t *testing.T, policy, translation string) string {
 	}
 	fc := store.Counters()
 	fmt.Fprintf(&b, "\n[faults]\n%s\n", fc)
+	if prefetch > 0 {
+		cs := r.Collector().Snapshot()
+		fmt.Fprintf(&b, "\n[prefetch]\nworkers %d filled %d coalesced %d\n",
+			prefetch, cs.PrefetchFilled, cs.ReadsCoalesced)
+	}
 	return b.String()
 }
 

@@ -43,8 +43,8 @@ func TestTranslationReplayDeterminism(t *testing.T) {
 	for _, translation := range buffer.Translations() {
 		for _, policy := range buffer.Policies() {
 			t.Run(translation+"/"+policy, func(t *testing.T) {
-				first := chaosScriptXlate(t, policy, translation)
-				second := chaosScriptXlate(t, policy, translation)
+				first := chaosScriptXlate(t, policy, translation, 0)
+				second := chaosScriptXlate(t, policy, translation, 0)
 				if first != second {
 					t.Errorf("two seeded runs under %s/%s diverged:\n--- first ---\n%s\n--- second ---\n%s",
 						translation, policy, first, second)
@@ -58,6 +58,28 @@ func TestTranslationReplayDeterminism(t *testing.T) {
 				}
 			})
 		}
+	}
+}
+
+// TestPrefetchReplayDeterminism extends the replay guarantee to the prefetch
+// pipeline and read coalescing: with two prefetch workers running as kernel
+// processes beside the scans, two seeded runs must render byte-identical
+// artifacts under every translation, and the run must actually have staged
+// pages ahead of the scans and coalesced reads — a replay of paths that never
+// ran would prove nothing.
+func TestPrefetchReplayDeterminism(t *testing.T) {
+	for _, translation := range buffer.Translations() {
+		t.Run(translation, func(t *testing.T) {
+			first := chaosScriptXlate(t, buffer.PolicyLRU, translation, 2)
+			second := chaosScriptXlate(t, buffer.PolicyLRU, translation, 2)
+			if first != second {
+				t.Errorf("two seeded runs with prefetch under %s diverged:\n--- first ---\n%s\n--- second ---\n%s",
+					translation, first, second)
+			}
+			if strings.Contains(first, " filled 0 ") || strings.Contains(first, " coalesced 0\n") {
+				t.Errorf("the prefetch replay staged or coalesced nothing:\n%s", first[strings.Index(first, "[prefetch]"):])
+			}
+		})
 	}
 }
 

@@ -1,7 +1,9 @@
 package realtime
 
 import (
+	"context"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"scanshare/internal/buffer"
@@ -19,7 +21,9 @@ const maxFailedPages = 1 << 14
 // missing pages in the pool so the scans hit instead of stalling on the
 // store.
 //
-// Three properties keep it from fighting the scans it serves:
+// Workers park through the runner's Env while the queue is empty, so the
+// pipeline runs unchanged in the virtual-time replay environment. Three
+// properties keep it from fighting the scans it serves:
 //
 //   - Best-effort admission: enqueue never blocks. When the queue is full
 //     the extent is dropped (and counted) — the scan will simply read those
@@ -35,21 +39,20 @@ const maxFailedPages = 1 << 14
 //     function is timeout-bounded by the Runner, so a stalling page delays
 //     one worker for at most one ReadTimeout instead of wedging it.
 type prefetcher struct {
-	pool *buffer.Pool
-	read func(pid disk.PageID) ([]byte, error)
-	col  *metrics.Collector
-	now  func() time.Duration
+	pool    *buffer.Pool
+	read    func(pid disk.PageID) ([]byte, error)
+	col     *metrics.Collector
+	env     Env
+	flights *flightTable // the runner's; prefetch flights are best-effort
 
-	reqs chan prefetchReq
-	wg   sync.WaitGroup
-
-	// flights, when non-nil, is the runner's singleflight registry: the
-	// pipeline registers its reads there so scans that miss on a page
-	// being prefetched join the prefetch read instead of sleep-polling.
-	// Prefetch flights are marked best-effort — on failure, waiters fall
-	// back to their own (retrying) read rather than inheriting the error
-	// of a reader that never retries.
-	flights *flightTable
+	// reqs queues at most 2×workers extents; nobody blocks on it. wake
+	// holds a token while a request, or the close, may be waiting for a
+	// parked worker; a worker that takes a request and leaves more behind
+	// passes the token on. scans counts the scans still running; the
+	// pipeline closes when it reaches zero.
+	reqs  chan prefetchReq
+	wake  chan struct{}
+	scans atomic.Int64
 
 	mu       sync.Mutex
 	inflight map[disk.PageID]struct{}
@@ -68,26 +71,22 @@ type prefetchReq struct {
 	at       time.Duration
 }
 
-// newPrefetcher starts workers goroutines draining a queue of at most
-// queueExtents pending extents. read performs one page read; the Runner
-// passes its timeout-bounded store read. now supplies queue-delay
-// timestamps (the Runner's clock, so the delay histogram is deterministic
-// under the replay harness).
-func newPrefetcher(pool *buffer.Pool, read func(pid disk.PageID) ([]byte, error), col *metrics.Collector, now func() time.Duration, workers, queueExtents int, flights *flightTable) *prefetcher {
+// newPrefetcher returns a pipeline for workers workers serving scans scans,
+// which the Runner runs in its environment. read performs one page read;
+// the Runner passes its timeout-bounded store read.
+func newPrefetcher(pool *buffer.Pool, read func(pid disk.PageID) ([]byte, error), col *metrics.Collector, env Env, workers, scans int, flights *flightTable) *prefetcher {
 	p := &prefetcher{
 		pool:     pool,
 		read:     read,
 		col:      col,
-		now:      now,
+		env:      env,
 		flights:  flights,
-		reqs:     make(chan prefetchReq, queueExtents),
+		reqs:     make(chan prefetchReq, 2*workers),
+		wake:     make(chan struct{}, 1),
 		inflight: make(map[disk.PageID]struct{}),
 		failed:   make(map[disk.PageID]struct{}),
 	}
-	for i := 0; i < workers; i++ {
-		p.wg.Add(1)
-		go p.worker()
-	}
+	p.scans.Store(int64(scans))
 	return p
 }
 
@@ -98,25 +97,41 @@ func (p *prefetcher) enqueue(pageAt func(i int) disk.PageID, from, to int) {
 		return
 	}
 	select {
-	case p.reqs <- prefetchReq{pageAt: pageAt, from: from, to: to, at: p.now()}:
+	case p.reqs <- prefetchReq{pageAt: pageAt, from: from, to: to, at: p.env.Now()}:
+		signal(p.wake)
 		p.col.PrefetchEnqueued()
 	default:
 		p.col.PrefetchDropped()
 	}
 }
 
-// stop drains the pipeline and joins the workers. Callers must guarantee no
-// further enqueue calls.
-func (p *prefetcher) stop() {
-	close(p.reqs)
-	p.wg.Wait()
+// scanDone records that a scan has finished; after the last one the workers
+// return once the queue is drained.
+func (p *prefetcher) scanDone() {
+	if p.scans.Add(-1) == 0 {
+		signal(p.wake)
+	}
 }
 
+// worker serves queued extents until the pipeline is closed and drained.
 func (p *prefetcher) worker() {
-	defer p.wg.Done()
-	for req := range p.reqs {
+	for {
+		var req prefetchReq
+		select {
+		case req = <-p.reqs:
+		default:
+			if p.scans.Load() == 0 && len(p.reqs) == 0 {
+				signal(p.wake) // the next idle worker returns too
+				return
+			}
+			p.env.Park(context.Background(), p.wake, 0)
+			continue
+		}
+		if len(p.reqs) > 0 {
+			signal(p.wake)
+		}
 		p.col.PrefetchPicked()
-		p.col.PrefetchDelayed(p.now() - req.at)
+		p.col.PrefetchDelayed(p.env.Now() - req.at)
 		for i := req.from; i < req.to; i++ {
 			p.fetch(req.pageAt(i))
 		}

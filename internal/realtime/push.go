@@ -2,12 +2,10 @@ package realtime
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"sync"
 	"time"
 
-	"scanshare/internal/buffer"
 	"scanshare/internal/core"
 	"scanshare/internal/disk"
 	"scanshare/internal/trace"
@@ -86,7 +84,7 @@ type pushSub struct {
 	remaining   int           // footprint pages not yet streamed to this sub
 	stallBudget time.Duration // fairness cap on reader stalls for this sub
 	stalled     time.Duration // accumulated reader stall on this sub
-	deg         degradeState  // owner-side detach tracking
+	deg         fetchState    // owner-side detach tracking
 	detaches    int           // reader-side detach count, merged by the consumer
 	rejoins     int
 	retries     int64 // reader-side read retries attributed to this owner
@@ -401,7 +399,7 @@ func (h *pushHub) send(s *pushSub, view pushBatch) bool {
 	}
 	cfg := &h.r.cfg
 	cfg.Collector.SubscriberStalled()
-	t0 := cfg.Clock.Now()
+	t0 := cfg.Env.Now()
 	sent := false
 	budget := s.stallBudget - s.stalled
 	if budget > 0 {
@@ -415,7 +413,7 @@ func (h *pushHub) send(s *pushSub, view pushBatch) bool {
 		}
 		timer.Stop()
 	}
-	wait := cfg.Clock.Now() - t0
+	wait := cfg.Env.Now() - t0
 	s.stalled += wait
 	if wait > 0 {
 		cfg.Collector.Throttled(wait)
@@ -504,26 +502,13 @@ func (r *Runner) runPush(ctx context.Context, specs []ScanSpec) ([]ScanResult, e
 	}
 
 	results := make([]ScanResult, len(specs))
-	var wg sync.WaitGroup
-	for i := range specs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			r.runPushScan(ctx, i, specs[i], hubs[specs[i].Table], &results[i])
-		}(i)
-	}
-	wg.Wait()
+	r.cfg.Env.Run(len(specs), func(i int) {
+		r.runPushScan(ctx, i, specs[i], hubs[specs[i].Table], &results[i])
+	})
 	for _, h := range hubs {
 		h.wg.Wait()
 	}
-
-	var errs []error
-	for i := range results {
-		if results[i].Err != nil {
-			errs = append(errs, fmt.Errorf("scan %d: %w", i, results[i].Err))
-		}
-	}
-	return results, errors.Join(errs...)
+	return results, nil
 }
 
 // pushStallBudget derives a subscriber's fairness cap on reader stalls: the
@@ -548,89 +533,25 @@ func (r *Runner) pushStallBudget(spec ScanSpec, length int) time.Duration {
 
 // runPushScan is the body of one push-mode subscriber: the same manager
 // lifecycle as a pull scan, with the fetch loop replaced by batch
-// consumption. Throttle advice is ignored — flow control replaces it — but
-// progress reports still feed grouping, decision traces, and the predictive
-// pool.
+// consumption. Flow control replaces throttling, so advice is settled at
+// once as a wait of zero: it costs the fairness budget and Stats.ThrottleTime
+// nothing. Progress reports still feed grouping, traces and the pool.
 func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *pushHub, res *ScanResult) {
 	cfg := &r.cfg
-	res.Scan = idx
-	res.ID = core.NoScan
 	hook := func(site Site) {
 		if cfg.Hook != nil {
 			cfg.Hook(idx, site)
 		}
 	}
 	defer hook(SiteExit)
-
-	hook(SiteSpawn)
-	if spec.StartDelay > 0 {
-		cfg.Sleep(ctx, spec.StartDelay)
-	}
-	if ctx.Err() != nil {
-		res.Stopped = true
+	l, ok := r.beginScan(ctx, idx, spec, hook, res)
+	if !ok {
 		return
 	}
+	defer r.endScan(&l, hook, res)
+	id, sc, end, length, limit := l.id, l.sc, l.end, l.length, l.limit
 
-	end := spec.EndPage
-	if end == 0 {
-		end = spec.TablePages
-	}
-	length := end - spec.StartPage
-
-	hook(SiteStartScan)
-	id, pl, err := cfg.Manager.StartScan(core.ScanOpts{
-		Table:             spec.Table,
-		TablePages:        spec.TablePages,
-		StartPage:         spec.StartPage,
-		EndPage:           spec.EndPage,
-		EstimatedDuration: spec.EstimatedDuration,
-		Importance:        spec.Importance,
-	}, cfg.Clock.Now())
-	hook(SiteStarted)
-	if err != nil {
-		res.Err = err
-		return
-	}
-	cfg.Collector.ScanStarted()
-	res.ID = id
-	res.Placement = pl
-	res.Started = cfg.Clock.Now()
-
-	// As in pull mode: the scan span closes after the EndScan defer below.
-	span := cfg.Tracer.OpenSpan(spec.Span, trace.SpanScan, int64(id), int64(spec.Table))
-	defer span.Close()
-	sc := span.Context()
-
-	feedPool := cfg.Pool.ScanAware()
-	if feedPool {
-		base := spec.PageID(spec.StartPage) - disk.PageID(spec.StartPage)
-		var seed float64
-		if f, ok := cfg.Manager.ScanFeed(id); ok {
-			seed = f.SpeedPagesSec
-		}
-		cfg.Pool.RegisterScan(int64(id), buffer.ScanFootprint{
-			Base: base, Start: spec.StartPage, End: end, Origin: pl.Origin,
-		}, seed)
-		cfg.Collector.ScanFeedRegistered()
-	}
-	defer func() {
-		cfg.Pool.UnregisterScan(int64(id))
-		hook(SiteEndScan)
-		if err := cfg.Manager.EndScan(id, cfg.Clock.Now()); err != nil && res.Err == nil {
-			res.Err = err
-		}
-		hook(SiteEnded)
-		cfg.Collector.ScanEnded(res.Stopped)
-		res.Done = cfg.Clock.Now()
-	}()
-
-	limit := length
-	if spec.StopAfterPages > 0 && spec.StopAfterPages < length {
-		limit = spec.StopAfterPages
-		res.Stopped = true
-	}
-
-	sub := hub.subscribe(idx, id, sc, spec.StartPage, end, pl.Origin, r.pushStallBudget(spec, length))
+	sub := hub.subscribe(idx, id, sc, spec.StartPage, end, l.pl.Origin, r.pushStallBudget(spec, length))
 	goneOnce := sync.OnceFunc(func() { close(sub.gone) })
 	defer goneOnce()
 
@@ -642,21 +563,22 @@ func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *p
 	// report sends one progress sample; false means the scan must stop.
 	report := func() bool {
 		hook(SiteReport)
-		adv, err := cfg.Manager.ReportProgress(id, processed, cfg.Clock.Now())
+		adv, err := cfg.Manager.ReportProgress(id, processed, cfg.Env.Now())
 		hook(SiteReported)
 		if err != nil {
 			res.Err = err
 			return false
 		}
+		if adv.Wait > 0 {
+			if err := cfg.Manager.SettleThrottle(id, adv.Wait, 0); err != nil {
+				res.Err = err
+				return false
+			}
+		}
 		if cfg.OnAdvice != nil {
 			cfg.OnAdvice(idx, processed, adv)
 		}
-		if feedPool {
-			if f, ok := cfg.Manager.ScanFeed(id); ok {
-				cfg.Pool.UpdateScan(int64(id), f.Processed, f.SpeedPagesSec)
-				cfg.Collector.ScanFeedUpdated()
-			}
-		}
+		r.feedProgress(&l)
 		next := adv.NextReportPages
 		if next <= 0 {
 			next = interval
@@ -698,9 +620,7 @@ func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *p
 				res.Hits++
 			}
 			res.PagesRead++
-			if spec.PageDelay > 0 {
-				cfg.Sleep(ctx, spec.PageDelay)
-			}
+			cfg.Env.Sleep(ctx, spec.PageDelay)
 		}
 		if processed >= limit && limit < length {
 			res.Stopped = true
@@ -717,7 +637,7 @@ func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *p
 	// after a demotion: every uncovered page is fetched, accounted, and
 	// traced like a delivered one, preserving exactly-once coverage.
 	selfPull := func() {
-		var deg degradeState
+		var deg fetchState
 		for i := range covered {
 			if covered[i] {
 				continue
@@ -757,7 +677,7 @@ func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *p
 	}
 
 	for {
-		recvStart := cfg.Clock.Now()
+		recvStart := cfg.Env.Now()
 		select {
 		case <-ctx.Done():
 			res.Stopped = true
@@ -765,7 +685,7 @@ func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *p
 		case b, ok := <-sub.ch:
 			// Time blocked on the channel is push-mode delivery wait — the
 			// consumer-side view of reader backpressure and read latency.
-			recvWait := cfg.Clock.Now() - recvStart
+			recvWait := cfg.Env.Now() - recvStart
 			res.DeliveryWait += recvWait
 			if ok {
 				cfg.Tracer.EmitSpan(sc, trace.SpanDelivery, int64(id), int64(spec.Table), recvWait)

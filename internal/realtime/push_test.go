@@ -304,3 +304,92 @@ func TestPushTableSizeMismatch(t *testing.T) {
 		t.Fatal("mismatched TablePages accepted")
 	}
 }
+
+// TestPushSettlesIgnoredThrottle: push subscribers do not wait out throttle
+// advice — the reader's flow control does that job — so the manager must not
+// charge them for it. A subscriber that stalls on its first page holds the
+// stream to its queue while a second one runs ahead through the batches
+// queued behind it; the manager, told that reads are dear, advises the
+// leader to wait, and the run ends with the advice counted and no throttle
+// time charged.
+func TestPushSettlesIgnoredThrottle(t *testing.T) {
+	const (
+		tablePages, poolPages = 400, 512
+		fast, slow            = 0, 1
+	)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	slowStarted, fastStarted, leaderAhead := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	markSlow, markFast := sync.OnceFunc(func() { close(slowStarted) }), sync.OnceFunc(func() { close(fastStarted) })
+	release := sync.OnceFunc(func() { close(leaderAhead) })
+	defer release()
+	pause := sync.OnceFunc(func() { time.Sleep(2 * time.Millisecond) })
+	var mgr *core.Manager
+	r, _, _ := pushTestRunner(t, poolPages, func(cfg *Config) {
+		mgr = cfg.Manager
+		mgr.ObserveReadCost(1000, 1000*time.Second)
+		// Room for 72 pages in the stalled subscriber's queue: the fast
+		// one gets well past the throttle threshold (16 pages) before the
+		// reader blocks, and the manager throttles a gap the second time
+		// it sees it grow.
+		cfg.SubscriberQueueBatches = 8
+		// The stream's second batch waits until the fast subscriber has
+		// registered and had time to subscribe, so it joins the stream
+		// before the stalled one's queue fills.
+		cfg.Store = StoreFunc(func(pid disk.PageID) ([]byte, error) {
+			if pid >= 8 {
+				<-fastStarted
+				pause()
+			}
+			return testStore{pageBytes: 64}.ReadPage(pid)
+		})
+		cfg.Hook = func(scan int, site Site) {
+			switch {
+			case scan == slow && site == SiteStarted:
+				markSlow()
+			case scan == fast && site == SiteStartScan:
+				<-slowStarted
+			case scan == fast && site == SiteStarted:
+				markFast()
+			}
+		}
+		cfg.OnAdvice = func(scan, processed int, adv core.Advice) {
+			if scan == fast && processed >= 40 {
+				release()
+			}
+		}
+	})
+	specs := make([]ScanSpec, 2)
+	for i := range specs {
+		specs[i] = ScanSpec{
+			Table:             1,
+			TablePages:        tablePages,
+			PageID:            func(pageNo int) disk.PageID { return disk.PageID(pageNo) },
+			EstimatedDuration: 10 * time.Minute, // a fairness budget no advice exhausts
+		}
+	}
+	specs[slow].OnPage = func(int, []byte) {
+		select {
+		case <-leaderAhead:
+		case <-ctx.Done():
+		}
+	}
+
+	results, err := r.Run(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.PagesRead != tablePages || res.PushDemoted {
+			t.Errorf("scan %d: %d pages, demoted %v", i, res.PagesRead, res.PushDemoted)
+		}
+	}
+	st := mgr.Stats()
+	if st.ThrottleEvents == 0 {
+		t.Fatal("the manager never advised a wait: the test exercised nothing")
+	}
+	if st.ThrottleTime != 0 {
+		t.Errorf("manager charged %v of throttle time over %d advices nobody waited out",
+			st.ThrottleTime, st.ThrottleEvents)
+	}
+}

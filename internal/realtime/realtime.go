@@ -19,11 +19,11 @@
 //     the pool ahead of the scans. Requests from group members covering the
 //     same pages coalesce: the queue is deduplicated per page in flight, and
 //     already-resident pages are left untouched (ReleaseRetain).
-//   - A Hook test point fires at every Manager call site, which is what the
-//     deterministic schedule-perturbation harness (Sched) latches onto: with
-//     a Hook, a seeded Sched serializes the workers at those points in a
-//     pseudo-random but fully reproducible order, so an interleaving bug
-//     reproduces from its seed alone.
+//   - Every wait a worker makes goes through one Env: goroutines and pooled
+//     timers in production, and in replay tests a KernelEnv, which runs the
+//     same workers as sim.Kernel processes in virtual time with seeded
+//     wake-up jitter, so an interleaving bug reproduces from its seed alone.
+//   - A Hook observes every Manager call site, for tests and tracing.
 //
 // See CONCURRENCY.md at the repository root for the locking discipline and
 // for how to replay a failing interleaving.
@@ -37,14 +37,13 @@ import (
 	"scanshare/internal/buffer"
 	"scanshare/internal/core"
 	"scanshare/internal/disk"
+	"scanshare/internal/fault"
 	"scanshare/internal/metrics"
 	"scanshare/internal/trace"
-	"scanshare/internal/vclock"
 )
 
 // Site labels a hook point inside a scan worker. "Before" sites fire before
-// the named call, "after" sites (past tense) fire once it returned; a
-// perturbation hook may block at any of them.
+// the named call, "after" sites (past tense) fire once it returned.
 type Site string
 
 // Hook sites, in the order a scan visits them.
@@ -77,13 +76,13 @@ const (
 	SiteEndScan Site = "end-scan"
 	SiteEnded   Site = "ended"
 	// SiteExit fires exactly once when the scan goroutine finishes, after
-	// any SiteEnded. Scheduler hooks use it to retire the worker; it must
-	// not block.
+	// any SiteEnded.
 	SiteExit Site = "exit"
 )
 
-// Hook observes (and, in perturbation harnesses, delays) a scan worker at a
-// site. It is called from the worker's own goroutine.
+// Hook observes a scan worker at a site, from the worker's own goroutine. It
+// may block to order workers (the parity test's turnstile does), except
+// under a KernelEnv, which runs one worker at a time.
 type Hook func(scan int, site Site)
 
 // PageStore supplies page contents for buffer-pool misses. Implementations
@@ -99,15 +98,13 @@ type StoreFunc func(pid disk.PageID) ([]byte, error)
 // ReadPage calls f.
 func (f StoreFunc) ReadPage(pid disk.PageID) ([]byte, error) { return f(pid) }
 
-// ContextStore is an optional PageStore extension for stores that honor
-// cancellation and distinguish retry attempts (fault.Store implements it).
-// When the configured store provides it, the runner passes the per-read
-// context — carrying the ReadTimeout deadline — and the attempt number, so
-// an injected stall unblocks at the deadline without leaking a goroutine and
-// attempt-windowed fault rules see true attempt counts.
+// ContextStore is an optional PageStore extension for stores whose reads
+// wait and tell retry attempts apart (fault.Store implements it). The runner
+// passes its context, Env, ReadTimeout and the attempt number, so an injected
+// stall or latency spike waits on the runner's clock and ends at the timeout.
 type ContextStore interface {
 	PageStore
-	ReadPageAt(ctx context.Context, pid disk.PageID, attempt int) ([]byte, error)
+	ReadPageAt(ctx context.Context, env fault.Env, timeout time.Duration, pid disk.PageID, attempt int) ([]byte, error)
 }
 
 // Config assembles the shared structures a Runner operates on and its
@@ -117,9 +114,10 @@ type Config struct {
 	Manager *core.Manager
 	Store   PageStore
 
-	// Clock supplies the timestamps passed to the Manager. Defaults to a
-	// wall clock; perturbation harnesses substitute a deterministic one.
-	Clock vclock.Clock
+	// Env runs the workers and every wait, and its clock stamps everything
+	// the runner reports. Nil selects goroutines, the wall clock and pooled
+	// timers; replay tests set a KernelEnv.
+	Env Env
 
 	// Collector receives activity counters; optional. All runner and
 	// prefetcher counters funnel into it.
@@ -133,21 +131,18 @@ type Config struct {
 	Tracer *trace.Tracer
 
 	// PrefetchWorkers sets the size of the prefetch worker pool; 0
-	// disables prefetching. PrefetchQueueExtents bounds the request
-	// channel (defaults to 2×workers); when the queue is full, requests
-	// are dropped, not blocked on — prefetch is best-effort.
-	PrefetchWorkers      int
-	PrefetchQueueExtents int
+	// disables prefetching. The request queue holds 2×workers extents;
+	// when it is full, requests are dropped, not blocked on — prefetch is
+	// best-effort.
+	PrefetchWorkers int
 
 	// BusyRetryDelay is the backoff before re-requesting a page whose
 	// read is in flight elsewhere. Defaults to 200µs.
 	BusyRetryDelay time.Duration
 
-	// ReadTimeout bounds one page-store read attempt; 0 disables the
-	// bound. For a ContextStore the deadline is passed through the read's
-	// context; for a plain PageStore the read runs in a helper goroutine
-	// and the runner abandons it at the deadline (the goroutine is
-	// reclaimed when the underlying read eventually returns).
+	// ReadTimeout bounds one page-store read attempt on Env's clock; 0
+	// disables the bound. A plain PageStore's read runs in a helper worker
+	// that the runner abandons at the deadline.
 	ReadTimeout time.Duration
 
 	// MaxReadRetries is how many times a failed or timed-out store read
@@ -171,16 +166,6 @@ type Config struct {
 	// scan. Off by default: a permanent page failure fails the scan.
 	ContinueOnPageFailure bool
 
-	// CoalesceReads enables singleflight read coalescing: a scan that
-	// misses on a page another caller is already reading blocks on that
-	// read's completion and shares its outcome, instead of sleep-polling
-	// with BusyRetryDelay. Group members then never duplicate physical
-	// I/O on shared pages. Off by default because waiters block on
-	// channels rather than at Hook sites, which the deterministic Sched
-	// harness cannot serialize — replay-based tests must leave this off
-	// (see CONCURRENCY.md).
-	CoalesceReads bool
-
 	// PushDelivery switches the runner from pull to push mode: one reader
 	// goroutine per scanned table drains the table's page range, pushing
 	// immutable page-batch references through bounded per-subscriber
@@ -190,8 +175,9 @@ type Config struct {
 	// on the slowest subscriber's full channel, bounded per subscriber by
 	// the manager's fairness cap, past which the subscriber is demoted to
 	// pulling its remainder itself. Prefetching is redundant in this mode
-	// (the reader is the read-ahead stream) and is not started. See
-	// CONCURRENCY.md for the hub's locking and promotion protocol.
+	// (the reader is the read-ahead stream) and is not started. Only the
+	// goroutine environment runs it. See CONCURRENCY.md for the hub's
+	// locking and promotion protocol.
 	PushDelivery bool
 
 	// PushBatchPages is the page count of one pushed batch. Defaults to
@@ -209,12 +195,6 @@ type Config struct {
 	// the manager's fairness cap (MaxThrottleFraction of the scan's
 	// estimated duration), exactly as pull-mode throttling does.
 	PushStallBudget time.Duration
-
-	// Sleep waits for d or until ctx is done. Defaults to a timer-based
-	// wait; perturbation harnesses substitute a virtual-clock advance. A
-	// supplied Sleep is also handed every throttle wait in full, where the
-	// default parks the scan on the manager's wake-up (see throttleWait).
-	Sleep func(ctx context.Context, d time.Duration)
 
 	// Hook, when set, fires at every Site. Nil means no instrumentation.
 	Hook Hook
@@ -291,7 +271,7 @@ type ScanResult struct {
 	// Misses but not PagesRead.
 	DegradedPages int
 	// CoalescedReads counts misses resolved by joining another caller's
-	// in-flight read (Config.CoalesceReads); a successfully coalesced
+	// in-flight read; a successfully coalesced
 	// page is then accounted as a Hit on re-acquire. CoalescedFailures
 	// counts coalesced waits that ended in the leading read's error —
 	// such pages appear in DegradedPages (or fail the scan) without a
@@ -329,7 +309,7 @@ type ScanResult struct {
 	ReadWait     time.Duration
 	DeliveryWait time.Duration
 
-	Started, Done time.Duration // Config.Clock times
+	Started, Done time.Duration // Config.Env times
 	Stopped       bool          // terminated before covering its range
 	Err           error
 }
@@ -341,13 +321,8 @@ type Runner struct {
 	// once so the per-page read path avoids a repeated type switch.
 	ctxStore ContextStore
 	// flights is the singleflight registry for physical reads, shared by
-	// scan workers and prefetch workers; nil when CoalesceReads is off.
+	// scan workers and prefetch workers.
 	flights *flightTable
-	// virtualSleep records that the caller supplied Config.Sleep (the Sched
-	// harness, whose Sleep advances a clock instead of blocking): throttle
-	// waits then go through it whole instead of parking on the manager's
-	// wake-up.
-	virtualSleep bool
 	// skipPageCount suppresses the collector's per-page hit/miss counting
 	// in fetchPage. Set only on the push hub's reader-side Runner copy:
 	// subscribers account the pages they are delivered, so the reader's
@@ -384,17 +359,16 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.PushBatchPages < 0 || cfg.SubscriberQueueBatches < 0 || cfg.PushStallBudget < 0 {
 		return nil, fmt.Errorf("realtime: negative push-delivery knob")
 	}
-	if cfg.Clock == nil {
-		cfg.Clock = &vclock.Wall{}
+	if cfg.Env == nil {
+		cfg.Env = new(goEnv)
+	} else if cfg.PushDelivery {
+		return nil, fmt.Errorf("realtime: push delivery runs only in the goroutine environment")
 	}
 	if cfg.Collector == nil {
 		cfg.Collector = new(metrics.Collector)
 	}
 	if cfg.BusyRetryDelay == 0 {
 		cfg.BusyRetryDelay = 200 * time.Microsecond
-	}
-	if cfg.PrefetchQueueExtents <= 0 {
-		cfg.PrefetchQueueExtents = 2 * cfg.PrefetchWorkers
 	}
 	if cfg.RetryBackoff == 0 {
 		cfg.RetryBackoff = 200 * time.Microsecond
@@ -411,33 +385,14 @@ func NewRunner(cfg Config) (*Runner, error) {
 	if cfg.SubscriberQueueBatches == 0 {
 		cfg.SubscriberQueueBatches = 4
 	}
-	r := &Runner{cfg: cfg, virtualSleep: cfg.Sleep != nil}
-	if cfg.Sleep == nil {
-		r.cfg.Sleep = ctxSleep
-	}
+	r := &Runner{cfg: cfg, flights: newFlightTable()}
 	r.ctxStore, _ = cfg.Store.(ContextStore)
-	if cfg.CoalesceReads {
-		r.flights = newFlightTable()
-	}
 	return r, nil
 }
 
 // Collector returns the runner's collector (the configured one, or the
 // default the runner created).
 func (r *Runner) Collector() *metrics.Collector { return r.cfg.Collector }
-
-// ctxSleep waits for d or until ctx is done, whichever comes first.
-func ctxSleep(ctx context.Context, d time.Duration) {
-	if d <= 0 {
-		return
-	}
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-ctx.Done():
-	case <-t.C:
-	}
-}
 
 // poolPriority maps the Manager's engine-agnostic hint onto the pool's
 // priority levels (same mapping as the virtual-time executor).

@@ -4,7 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync"
 	"time"
 
 	"scanshare/internal/buffer"
@@ -18,12 +17,12 @@ import (
 // so the retry cadence follows page processing, not I/O completion.
 const allPinnedBackoff = 8
 
-// Run executes the specs concurrently, one goroutine per scan, and returns
-// one result per spec (index-aligned). Cancelling ctx stops every scan at
-// its next page boundary; stopped scans are deregistered cleanly and their
-// results marked Stopped rather than failed. The returned error joins hard
-// failures only (Manager rejections, store errors) — cancellation is not an
-// error.
+// Run executes the specs concurrently, one worker per scan in the runner's
+// Env, and returns one result per spec (index-aligned). Cancelling ctx stops
+// every scan at its next page boundary; stopped scans are deregistered
+// cleanly and their results marked Stopped rather than failed. The returned
+// error joins hard failures only (Manager rejections, store errors) —
+// cancellation is not an error.
 func (r *Runner) Run(ctx context.Context, specs []ScanSpec) ([]ScanResult, error) {
 	if len(specs) == 0 {
 		return nil, errors.New("realtime: Run with no scans")
@@ -40,36 +39,15 @@ func (r *Runner) Run(ctx context.Context, specs []ScanSpec) ([]ScanResult, error
 		}
 	}
 
+	var results []ScanResult
 	if r.cfg.PushDelivery {
-		return r.runPush(ctx, specs)
+		var err error
+		if results, err = r.runPush(ctx, specs); err != nil {
+			return nil, err
+		}
+	} else {
+		results = r.runPull(ctx, specs)
 	}
-
-	var pf *prefetcher
-	if r.cfg.PrefetchWorkers > 0 {
-		// Prefetch reads share the scans' timeout discipline (one
-		// attempt, no retries — prefetch is best-effort), so a stalling
-		// page cannot wedge a worker and starve the group's shared
-		// read-ahead stream.
-		read := func(pid disk.PageID) ([]byte, error) { return r.storeRead(ctx, pid, 0) }
-		pf = newPrefetcher(r.cfg.Pool, read, r.cfg.Collector, r.cfg.Clock.Now,
-			r.cfg.PrefetchWorkers, r.cfg.PrefetchQueueExtents, r.flights)
-	}
-
-	results := make([]ScanResult, len(specs))
-	var wg sync.WaitGroup
-	for i := range specs {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			r.runScan(ctx, i, specs[i], pf, &results[i])
-		}()
-	}
-	wg.Wait()
-	if pf != nil {
-		pf.stop()
-	}
-
 	var errs []error
 	for i := range results {
 		if results[i].Err != nil {
@@ -79,33 +57,71 @@ func (r *Runner) Run(ctx context.Context, specs []ScanSpec) ([]ScanResult, error
 	return results, errors.Join(errs...)
 }
 
-// runScan is the body of one scan worker.
-func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefetcher, res *ScanResult) {
+// runPull is Run's pull-mode body: the scans fetch their own pages, helped
+// by the prefetch workers.
+func (r *Runner) runPull(ctx context.Context, specs []ScanSpec) []ScanResult {
+	var pf *prefetcher
+	if r.cfg.PrefetchWorkers > 0 {
+		// Prefetch reads share the scans' timeout discipline (one
+		// attempt, no retries — prefetch is best-effort), so a stalling
+		// page cannot wedge a worker and starve the group's shared
+		// read-ahead stream.
+		read := func(pid disk.PageID) ([]byte, error) { return r.storeRead(ctx, pid, 0) }
+		pf = newPrefetcher(r.cfg.Pool, read, r.cfg.Collector, r.cfg.Env,
+			r.cfg.PrefetchWorkers, len(specs), r.flights)
+	}
+
+	// Workers 0 … len(specs)-1 are the scans, the rest prefetch workers;
+	// the last scan to finish closes the pipeline.
+	results := make([]ScanResult, len(specs))
+	r.cfg.Env.Run(len(specs)+r.cfg.PrefetchWorkers, func(i int) {
+		if i >= len(specs) {
+			pf.worker()
+			return
+		}
+		r.runScan(ctx, i, specs[i], pf, &results[i])
+		if pf != nil {
+			pf.scanDone()
+		}
+	})
+	return results
+}
+
+// scanLife is one scan's registration with the manager, the tracer and the
+// pool, from beginScan to endScan, plus the range it covers.
+type scanLife struct {
+	id       core.ScanID
+	pl       core.Placement
+	span     trace.Span
+	sc       trace.SpanContext
+	feedPool bool // the pool is scan-aware and follows this scan
+	// end is the exclusive end page; the scan covers length pages from
+	// the placement's origin and stops after limit of them.
+	end, length, limit int
+}
+
+// beginScan waits out the scan's start delay, then registers it: a manager
+// scan, a scan span, and for a scan-aware pool (predictive policy) the
+// footprint and initial speed estimate, which progress reports keep
+// current. It reports false, with res saying why, when the scan must not
+// run; otherwise the caller must call endScan.
+func (r *Runner) beginScan(ctx context.Context, idx int, spec ScanSpec, hook func(Site), res *ScanResult) (l scanLife, ok bool) {
 	cfg := &r.cfg
 	res.Scan = idx
 	res.ID = core.NoScan
-	hook := func(site Site) {
-		if cfg.Hook != nil {
-			cfg.Hook(idx, site)
-		}
-	}
-	defer hook(SiteExit)
-
 	hook(SiteSpawn)
-	if spec.StartDelay > 0 {
-		cfg.Sleep(ctx, spec.StartDelay)
-	}
+	cfg.Env.Sleep(ctx, spec.StartDelay)
 	if ctx.Err() != nil {
 		res.Stopped = true
-		return
+		return l, false
 	}
 
-	end := spec.EndPage
-	if end == 0 {
-		end = spec.TablePages
+	l.end = spec.EndPage
+	if l.end == 0 {
+		l.end = spec.TablePages
 	}
-	length := end - spec.StartPage
-
+	l.length = l.end - spec.StartPage
+	l.limit = l.length
 	hook(SiteStartScan)
 	id, pl, err := cfg.Manager.StartScan(core.ScanOpts{
 		Table:             spec.Table,
@@ -114,64 +130,90 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 		EndPage:           spec.EndPage,
 		EstimatedDuration: spec.EstimatedDuration,
 		Importance:        spec.Importance,
-	}, cfg.Clock.Now())
+	}, cfg.Env.Now())
 	hook(SiteStarted)
 	if err != nil {
 		res.Err = err
-		return
+		return l, false
 	}
 	cfg.Collector.ScanStarted()
-	res.ID = id
-	res.Placement = pl
-	res.Started = cfg.Clock.Now()
+	l.id, l.pl = id, pl
+	res.ID, res.Placement, res.Started = id, pl, cfg.Env.Now()
 
-	// The scan span covers everything from here through EndScan; its close
-	// (registered before the EndScan defer, so it runs after) carries the
-	// scan's duration. With no pre-allocated spec.Span this is all no-ops.
-	span := cfg.Tracer.OpenSpan(spec.Span, trace.SpanScan, int64(id), int64(spec.Table))
-	defer span.Close()
-	sc := span.Context()
+	// The scan span covers everything from here through EndScan and
+	// carries the scan's duration. With no pre-allocated spec.Span this is
+	// all no-ops.
+	l.span = cfg.Tracer.OpenSpan(spec.Span, trace.SpanScan, int64(id), int64(spec.Table))
+	l.sc = l.span.Context()
 
-	// A scan-aware pool (predictive policy) learns this scan's footprint
-	// and initial speed estimate; progress reports below keep it current.
 	// Every store in the engine lays table pages out contiguously, so the
 	// device page of table-relative page 0 anchors the footprint.
-	feedPool := cfg.Pool.ScanAware()
-	if feedPool {
+	if l.feedPool = cfg.Pool.ScanAware(); l.feedPool {
 		base := spec.PageID(spec.StartPage) - disk.PageID(spec.StartPage)
 		var seed float64
 		if f, ok := cfg.Manager.ScanFeed(id); ok {
 			seed = f.SpeedPagesSec
 		}
 		cfg.Pool.RegisterScan(int64(id), buffer.ScanFootprint{
-			Base: base, Start: spec.StartPage, End: end, Origin: pl.Origin,
+			Base: base, Start: spec.StartPage, End: l.end, Origin: pl.Origin,
 		}, seed)
 		cfg.Collector.ScanFeedRegistered()
 	}
-
-	// The scan always deregisters, whatever path it leaves on: leaked
-	// registrations would pin group structure and placement decisions for
-	// every later scan of the table.
-	defer func() {
-		cfg.Pool.UnregisterScan(int64(id))
-		hook(SiteEndScan)
-		if err := cfg.Manager.EndScan(id, cfg.Clock.Now()); err != nil && res.Err == nil {
-			res.Err = err
-		}
-		hook(SiteEnded)
-		cfg.Collector.ScanEnded(res.Stopped)
-		res.Done = cfg.Clock.Now()
-	}()
-
-	limit := length
-	if spec.StopAfterPages > 0 && spec.StopAfterPages < length {
-		limit = spec.StopAfterPages
+	if spec.StopAfterPages > 0 && spec.StopAfterPages < l.length {
+		l.limit = spec.StopAfterPages
 		res.Stopped = true
 	}
+	return l, true
+}
+
+// endScan deregisters a scan beginScan registered, whatever path it leaves
+// on: leaked registrations would pin group structure and placement
+// decisions for every later scan of the table.
+func (r *Runner) endScan(l *scanLife, hook func(Site), res *ScanResult) {
+	cfg := &r.cfg
+	cfg.Pool.UnregisterScan(int64(l.id))
+	hook(SiteEndScan)
+	if err := cfg.Manager.EndScan(l.id, cfg.Env.Now()); err != nil && res.Err == nil {
+		res.Err = err
+	}
+	hook(SiteEnded)
+	cfg.Collector.ScanEnded(res.Stopped)
+	res.Done = cfg.Env.Now()
+	l.span.Close()
+}
+
+// feedProgress tells a scan-aware pool what the manager now knows of the
+// scan's position and speed.
+func (r *Runner) feedProgress(l *scanLife) {
+	if !l.feedPool {
+		return
+	}
+	if f, ok := r.cfg.Manager.ScanFeed(l.id); ok {
+		r.cfg.Pool.UpdateScan(int64(l.id), f.Processed, f.SpeedPagesSec)
+		r.cfg.Collector.ScanFeedUpdated()
+	}
+}
+
+// runScan is the body of one scan worker.
+func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefetcher, res *ScanResult) {
+	cfg := &r.cfg
+	hook := func(site Site) {
+		if cfg.Hook != nil {
+			cfg.Hook(idx, site)
+		}
+	}
+	defer hook(SiteExit)
+	l, ok := r.beginScan(ctx, idx, spec, hook, res)
+	if !ok {
+		return
+	}
+	defer r.endScan(&l, hook, res)
+	id, pl, sc, length, limit := l.id, l.pl, l.sc, l.length, l.limit
+
 	interval := cfg.Manager.Config().PrefetchExtentPages
 	reportAt := interval
 	prio := core.PageNormal
-	var deg degradeState
+	var deg fetchState
 	// The reads this scan led, and the time they took, up to its last
 	// progress report: what it has already told the manager about read cost.
 	var costedReads int64
@@ -212,9 +254,7 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 			}
 			res.PagesRead++
 		}
-		if spec.PageDelay > 0 {
-			cfg.Sleep(ctx, spec.PageDelay)
-		}
+		cfg.Env.Sleep(ctx, spec.PageDelay)
 
 		// Progress counts degraded (skipped) pages too: the manager
 		// tracks the scan's *position*, and the scan has moved past the
@@ -226,7 +266,7 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 				cfg.Manager.ObserveReadCost(int(reads), res.ReadWait-costedWait)
 				costedReads, costedWait = res.Misses, res.ReadWait
 			}
-			adv, err := cfg.Manager.ReportProgress(id, done, cfg.Clock.Now())
+			adv, err := cfg.Manager.ReportProgress(id, done, cfg.Env.Now())
 			hook(SiteReported)
 			if err != nil {
 				if pinned {
@@ -238,12 +278,7 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 			if cfg.OnAdvice != nil {
 				cfg.OnAdvice(idx, done, adv)
 			}
-			if feedPool {
-				if f, ok := cfg.Manager.ScanFeed(id); ok {
-					cfg.Pool.UpdateScan(int64(id), f.Processed, f.SpeedPagesSec)
-					cfg.Collector.ScanFeedUpdated()
-				}
-			}
+			r.feedProgress(&l)
 			prio = adv.Priority
 			next := adv.NextReportPages
 			if next <= 0 {
@@ -266,24 +301,12 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 // budget, the collector, the scan result and the throttle span all carry.
 // The scan parks on the manager's wake-up, which fires as soon as the wait
 // has nothing left to achieve; planned is the deadline and ctx the third way
-// out. Under a harness that supplied its own Sleep nothing may block off a
-// hook site, and a virtual sleep has no "sooner": it gets the whole wait.
+// out.
 func (r *Runner) throttleWait(ctx context.Context, id core.ScanID, sc trace.SpanContext, table core.TableID, planned time.Duration, res *ScanResult) {
 	cfg := &r.cfg
-	t0 := cfg.Clock.Now()
-	if r.virtualSleep {
-		cfg.Sleep(ctx, planned)
-	} else {
-		wake := cfg.Manager.ParkThrottled(id)
-		deadline := time.NewTimer(planned)
-		select {
-		case <-wake:
-		case <-deadline.C:
-		case <-ctx.Done():
-		}
-		deadline.Stop()
-	}
-	waited := cfg.Clock.Now() - t0
+	t0 := cfg.Env.Now()
+	cfg.Env.Park(ctx, cfg.Manager.ParkThrottled(id), planned)
+	waited := cfg.Env.Now() - t0
 	if err := cfg.Manager.SettleThrottle(id, planned, waited); err != nil && res.Err == nil {
 		res.Err = err
 	}
@@ -292,13 +315,15 @@ func (r *Runner) throttleWait(ctx context.Context, id core.ScanID, sc trace.Span
 	cfg.Tracer.EmitSpan(sc, trace.SpanThrottle, int64(id), int64(table), waited)
 }
 
-// degradeState tracks one scan's read-failure streak across pages and
-// whether the scan is currently detached from its group. It lives on the
-// scan worker's stack; the Manager holds the authoritative detached flag,
-// this copy just avoids redundant Detach/Rejoin calls.
-type degradeState struct {
+// fetchState is what one worker carries from page to page: the scan's
+// read-failure streak, whether the scan is currently detached from its
+// group, and the worker's place on flight wait lists. The Manager holds the
+// authoritative detached flag; this copy just avoids redundant
+// Detach/Rejoin calls. One worker uses a fetchState at a time.
+type fetchState struct {
 	consecutive int // consecutive failed store read attempts
 	detached    bool
+	waiter      *flightWaiter // made at the worker's first coalesced wait
 }
 
 // fetchOutcome says what fetchPage produced.
@@ -325,7 +350,7 @@ const (
 // read is in flight. sc is the owning scan's span context: physical reads
 // and pool waits emit child spans under it and accumulate in res, all on
 // the slow paths only — a pool hit measures nothing.
-func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanContext, pid disk.PageID, hook func(Site), res *ScanResult, deg *degradeState) ([]byte, fetchOutcome) {
+func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanContext, pid disk.PageID, hook func(Site), res *ScanResult, deg *fetchState) ([]byte, fetchOutcome) {
 	cfg := &r.cfg
 	for {
 		// Lock-free fast path first: under array translation a resident,
@@ -364,9 +389,9 @@ func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanCon
 			// sleep-polling. The frame must be settled (Fill/Abort)
 			// before finish wakes them.
 			fl := r.flights.begin(pid, false)
-			readStart := cfg.Clock.Now()
+			readStart := cfg.Env.Now()
 			data, err := r.readPage(ctx, id, pid, hook, res, deg)
-			readWait := cfg.Clock.Now() - readStart
+			readWait := cfg.Env.Now() - readStart
 			res.ReadWait += readWait
 			cfg.Tracer.EmitSpan(sc, trace.SpanRead, int64(id), trace.NoID, readWait)
 			if err != nil {
@@ -396,8 +421,8 @@ func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanCon
 			r.flights.finish(pid, fl, nil)
 			return data, fetchOK
 		case buffer.Busy:
-			if fl, done, ok := r.flights.join(pid); ok {
-				out, retry := r.waitFlight(ctx, id, sc, pid, fl, done, res)
+			if r.flights.join(pid, &deg.waiter) {
+				out, retry := r.waitFlight(ctx, id, sc, pid, deg.waiter, res)
 				if retry {
 					continue
 				}
@@ -435,24 +460,24 @@ func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanCon
 // in res.PoolWait, and emitted as a pool-wait span under the scan.
 func (r *Runner) poolSleep(ctx context.Context, id core.ScanID, sc trace.SpanContext, d time.Duration, res *ScanResult) {
 	cfg := &r.cfg
-	t0 := cfg.Clock.Now()
-	cfg.Sleep(ctx, d)
-	wait := cfg.Clock.Now() - t0
+	t0 := cfg.Env.Now()
+	cfg.Env.Sleep(ctx, d)
+	wait := cfg.Env.Now() - t0
 	res.PoolWait += wait
 	cfg.Tracer.EmitSpan(sc, trace.SpanPoolWait, int64(id), trace.NoID, wait)
 }
 
-// waitFlight blocks the scan on another caller's in-flight read of pid. On a
-// successful fill it reports retry=true: the re-Acquire hits the now-valid
-// frame and the waiter is accounted as an ordinary pool hit, having issued
-// no physical I/O. A failed best-effort (prefetch) flight also reports
-// retry=true — the frame was aborted, so the waiter's re-Acquire misses and
-// runs this scan's own timeout/retry policy. A failed scan-led flight
+// waitFlight parks the scan on another caller's in-flight read of pid, which
+// w has joined. On a successful fill it reports retry=true: the re-Acquire
+// hits the now-valid frame and the waiter is accounted as an ordinary pool
+// hit, having issued no physical I/O. A failed best-effort (prefetch)
+// flight also reports retry=true — the frame was aborted, so the waiter's
+// re-Acquire misses and runs this scan's own timeout/retry policy. A failed scan-led flight
 // already spent the full retry budget, so its error propagates: the waiter
 // records a degraded page (or fails) without duplicating retries, and
 // without touching the pool — exactly one Abort (the leader's) is counted
 // per failed coalesced read.
-func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanContext, pid disk.PageID, fl *flight, done <-chan struct{}, res *ScanResult) (out fetchOutcome, retry bool) {
+func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanContext, pid disk.PageID, w *flightWaiter, res *ScanResult) (out fetchOutcome, retry bool) {
 	cfg := &r.cfg
 	// Counted before blocking, so tests can gate the leader's store read
 	// on the number of joined waiters.
@@ -462,21 +487,16 @@ func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanCo
 		Kind: trace.KindReadCoalesced, Scan: int64(id), Page: int64(pid),
 		Peer: trace.NoID, Table: trace.NoID, Prio: -1,
 	})
-	t0 := cfg.Clock.Now()
-	stopped := false
-	select {
-	case <-ctx.Done():
-		stopped = true
-	case <-done:
-	}
-	wait := cfg.Clock.Now() - t0
+	t0 := cfg.Env.Now()
+	finished := r.flights.wait(ctx, cfg.Env, w)
+	wait := cfg.Env.Now() - t0
 	res.PoolWait += wait
 	cfg.Tracer.EmitSpan(sc, trace.SpanPoolWait, int64(id), trace.NoID, wait)
-	if stopped {
+	if !finished {
 		res.Stopped = true
 		return fetchStop, false
 	}
-	if fl.err == nil || fl.fallback {
+	if w.err == nil || w.fallback {
 		return 0, true
 	}
 	if ctx.Err() != nil {
@@ -496,7 +516,7 @@ func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanCo
 		res.DegradedPages++
 		return fetchSkip, false
 	}
-	res.Err = fl.err
+	res.Err = w.err
 	return fetchStop, false
 }
 
@@ -505,19 +525,19 @@ func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanCo
 // exponential backoff, and the scan's degradation state advances — crossing
 // DetachAfterFailures consecutive failures detaches the scan from group
 // coordination, the first successful read rejoins it.
-func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, hook func(Site), res *ScanResult, deg *degradeState) ([]byte, error) {
+func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, hook func(Site), res *ScanResult, deg *fetchState) ([]byte, error) {
 	cfg := &r.cfg
 	backoff := cfg.RetryBackoff
 	for attempt := 0; ; attempt++ {
-		readStart := cfg.Clock.Now()
+		readStart := cfg.Env.Now()
 		data, err := r.storeRead(ctx, pid, attempt)
 		if err == nil {
-			cfg.Collector.PageReadTimed(cfg.Clock.Now() - readStart)
+			cfg.Collector.PageReadTimed(cfg.Env.Now() - readStart)
 			deg.consecutive = 0
 			if deg.detached {
 				deg.detached = false
 				hook(SiteRejoin)
-				rerr := cfg.Manager.RejoinScan(id, cfg.Clock.Now())
+				rerr := cfg.Manager.RejoinScan(id, cfg.Env.Now())
 				hook(SiteRejoined)
 				if rerr != nil && res.Err == nil {
 					res.Err = rerr
@@ -542,7 +562,7 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 			deg.consecutive >= cfg.DetachAfterFailures {
 			deg.detached = true
 			hook(SiteDetach)
-			derr := cfg.Manager.DetachScan(id, cfg.Clock.Now())
+			derr := cfg.Manager.DetachScan(id, cfg.Env.Now())
 			hook(SiteDetached)
 			if derr != nil && res.Err == nil {
 				res.Err = derr
@@ -561,7 +581,7 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 		cfg.Collector.ReadRetried()
 		res.ReadRetries++
 		hook(SiteRetry)
-		cfg.Sleep(ctx, backoff)
+		cfg.Env.Sleep(ctx, backoff)
 		if backoff *= 2; backoff > cfg.MaxRetryBackoff {
 			backoff = cfg.MaxRetryBackoff
 		}
@@ -572,37 +592,33 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 }
 
 // storeRead performs one read attempt against the page store, bounded by
-// ReadTimeout. Context-aware stores get the deadline through their context;
-// plain stores are read through a helper goroutine the runner abandons at
-// the deadline (the goroutine ends when the underlying read returns).
+// ReadTimeout on the Env's clock. A ContextStore is handed the timeout and
+// waits on the Env itself; a plain store is read in a helper worker the
+// runner abandons at the deadline (the helper ends when the underlying read
+// returns).
 func (r *Runner) storeRead(ctx context.Context, pid disk.PageID, attempt int) ([]byte, error) {
 	cfg := &r.cfg
+	if r.ctxStore != nil {
+		return r.ctxStore.ReadPageAt(ctx, cfg.Env, cfg.ReadTimeout, pid, attempt)
+	}
 	if cfg.ReadTimeout <= 0 {
-		if r.ctxStore != nil {
-			return r.ctxStore.ReadPageAt(ctx, pid, attempt)
-		}
 		return cfg.Store.ReadPage(pid)
 	}
-	rctx, cancel := context.WithTimeout(ctx, cfg.ReadTimeout)
-	defer cancel()
-	if r.ctxStore != nil {
-		return r.ctxStore.ReadPageAt(rctx, pid, attempt)
+	var data []byte
+	var err error
+	done := make(chan struct{}, 1)
+	cfg.Env.Go(func() {
+		data, err = cfg.Store.ReadPage(pid)
+		done <- struct{}{}
+	})
+	if cfg.Env.Park(ctx, done, cfg.ReadTimeout) {
+		return data, err
 	}
-	type result struct {
-		data []byte
-		err  error
+	cause := ctx.Err()
+	if cause == nil {
+		cause = context.DeadlineExceeded
 	}
-	ch := make(chan result, 1)
-	go func() {
-		data, err := cfg.Store.ReadPage(pid)
-		ch <- result{data, err}
-	}()
-	select {
-	case out := <-ch:
-		return out.data, out.err
-	case <-rctx.Done():
-		return nil, fmt.Errorf("realtime: read of page %d: %w", pid, rctx.Err())
-	}
+	return nil, fmt.Errorf("realtime: read of page %d: %w", pid, cause)
 }
 
 // releasePage unpins a processed page at the advised priority, recording

@@ -18,8 +18,8 @@ import (
 // goldenTimelineScript replays the chaos script shape with a Tracer wired
 // into all three layers — manager decisions, pool evictions, runner page
 // failures — and renders the merged journal as a timeline. Everything is
-// stamped with the Sched's virtual clock and the harness serializes all
-// workers, so the ring arrival order (and therefore the stable-sorted
+// stamped with the KernelEnv's virtual clock and the kernel runs one worker
+// at a time, so the ring arrival order (and therefore the stable-sorted
 // timeline) is a pure function of the seeds.
 func goldenTimelineScript(t *testing.T) (string, *trace.Recorder) {
 	t.Helper()
@@ -39,10 +39,9 @@ func goldenTimelineScript(t *testing.T) (string, *trace.Recorder) {
 	}
 	store := fault.MustNewStore(testStore{pageBytes: 16}, plan)
 
-	sched := NewSched(23, scans, 400*time.Microsecond)
-	store.SetSleep(sched.Sleep)
+	env := NewKernelEnv(23, 400*time.Microsecond)
 
-	tracer := trace.NewTracerSize(sched.Clock(), 1<<16)
+	tracer := trace.NewTracerSize(env, 1<<16)
 	rec := new(trace.Recorder)
 	tracer.Attach(rec)
 
@@ -55,9 +54,7 @@ func goldenTimelineScript(t *testing.T) (string, *trace.Recorder) {
 		Pool:                  pool,
 		Manager:               mgr,
 		Store:                 store,
-		Clock:                 sched.Clock(),
-		Sleep:                 sched.Sleep,
-		Hook:                  sched.Hook,
+		Env:                   env,
 		Tracer:                tracer,
 		ReadTimeout:           time.Millisecond,
 		MaxReadRetries:        3,
@@ -80,6 +77,11 @@ func goldenTimelineScript(t *testing.T) (string, *trace.Recorder) {
 		}
 	}
 	specs[3].StartPage, specs[3].EndPage = 10, 90
+	// The last scan processes a page in 800µs, slow enough to fall past the
+	// throttle threshold behind leaders that pay for the reads: in virtual
+	// time a faster trailer rides the leaders' reads and keeps the group in
+	// lockstep, and the timeline would show no throttle-wait.
+	specs[3].PageDelay = 800 * time.Microsecond
 
 	if _, err := r.Run(context.Background(), specs); err != nil {
 		t.Fatal(err)
@@ -94,7 +96,7 @@ func goldenTimelineScript(t *testing.T) (string, *trace.Recorder) {
 	}
 
 	evs := rec.Events()
-	out := fmt.Sprintf("# golden timeline: 4 scans, fault plan seed 11, sched seed 23\n# %s\n\n%s",
+	out := fmt.Sprintf("# golden timeline: 4 scans, fault plan seed 11, kernel seed 23\n# %s\n\n%s",
 		trace.SummarizeKinds(evs), trace.RenderTimeline(evs))
 	return out, rec
 }

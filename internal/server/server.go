@@ -96,6 +96,11 @@ func (s *Server) Serve(addr string) error {
 	if err != nil {
 		return err
 	}
+	return s.serve(ln)
+}
+
+// serve accepts connections from ln until Shutdown.
+func (s *Server) serve(ln net.Listener) error {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -174,15 +179,38 @@ func (s *Server) Shutdown(ctx context.Context) error {
 	}
 }
 
+// Accept backoff after a failed Accept, as net/http's: 5 ms, doubling to 1 s.
+const (
+	minAcceptBackoff = 5 * time.Millisecond
+	maxAcceptBackoff = time.Second
+)
+
 func (s *Server) acceptLoop(ln net.Listener) {
 	defer s.wg.Done()
+	var backoff time.Duration
 	for {
 		c, err := ln.Accept()
 		if err != nil {
-			// Listener closed by Shutdown (or a fatal accept error
-			// — either way the loop is over).
-			return
+			// Shutdown closes the listener. Any other failure — a full
+			// file table, a connection reset before it was accepted —
+			// passes: back off and accept again.
+			if errors.Is(err, net.ErrClosed) || s.baseCtx.Err() != nil {
+				return
+			}
+			if backoff *= 2; backoff == 0 {
+				backoff = minAcceptBackoff
+			} else if backoff > maxAcceptBackoff {
+				backoff = maxAcceptBackoff
+			}
+			t := time.NewTimer(backoff)
+			select {
+			case <-t.C:
+			case <-s.baseCtx.Done():
+			}
+			t.Stop()
+			continue
 		}
+		backoff = 0
 		s.mu.Lock()
 		if s.closed {
 			s.mu.Unlock()

@@ -7,6 +7,8 @@ import (
 	"io"
 	"net"
 	"strings"
+	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
@@ -273,6 +275,65 @@ func TestServeLifecycle(t *testing.T) {
 	}
 	if err := srv.Serve("127.0.0.1:0"); err == nil {
 		t.Error("Serve after Shutdown accepted")
+	}
+}
+
+// flakyListener fails its first Accept with a transient error (a full file
+// table) and then accepts for real.
+type flakyListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *flakyListener) Accept() (net.Conn, error) {
+	if l.failed.CompareAndSwap(false, true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// TestServeSurvivesAcceptError: one failed Accept does not end the service;
+// the loop backs off and serves the next connection.
+func TestServeSurvivesAcceptError(t *testing.T) {
+	eng := testEngine(t, 32, 500)
+	srv, err := New(Config{Engine: eng, Tenants: []TenantConfig{{Name: "t0", MaxConcurrent: 1}}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fl := &flakyListener{Listener: ln}
+	if err := srv.serve(fl); err != nil {
+		t.Fatal(err)
+	}
+	defer func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	}()
+
+	conn, err := net.Dial("tcp", srv.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	conn.SetDeadline(time.Now().Add(10 * time.Second))
+	if err := WriteFrame(conn, &Request{Tenant: "t0", Query: "SELECT count(*) FROM rt"}); err != nil {
+		t.Fatal(err)
+	}
+	var resp Response
+	if err := ReadFrame(conn, &resp); err != nil {
+		t.Fatalf("no response after a failed Accept: %v", err)
+	}
+	if !resp.OK || resp.PagesRead == 0 {
+		t.Errorf("request after a failed Accept -> %+v", resp)
+	}
+	if !fl.failed.Load() {
+		t.Error("the listener never failed an Accept: the test exercised nothing")
 	}
 }
 

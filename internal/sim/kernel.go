@@ -61,6 +61,11 @@ func (k *Kernel) Now() time.Duration { return k.now }
 // Live returns the number of spawned processes that have not finished yet.
 func (k *Kernel) Live() int { return k.live }
 
+// Current returns the process Run is resuming, or nil outside a process. Code
+// that waits on a process's behalf without being handed its Proc finds the
+// caller here.
+func (k *Kernel) Current() *Proc { return k.current }
+
 // Proc is a simulated process. Its methods must only be called from the
 // process body's own goroutine: Sleep and Poll suspend the coroutine they are
 // called on.

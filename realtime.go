@@ -109,9 +109,6 @@ type RealtimeOptions struct {
 	// PrefetchWorkers sets the read-ahead worker pool size; 0 disables
 	// prefetching.
 	PrefetchWorkers int
-	// PrefetchQueueExtents bounds the prefetch request queue; 0 picks a
-	// default proportional to the worker count.
-	PrefetchQueueExtents int
 	// PageReadDelay is a wall-clock sleep charged per physical page read,
 	// standing in for device transfer time (the virtual-time disk cost
 	// model does not apply in this mode).
@@ -122,19 +119,11 @@ type RealtimeOptions struct {
 	// lap and fans immutable page-batch references out to the scans, which
 	// become subscribers (group membership by subscription, throttling by
 	// flow control). Results are observationally identical to pull mode;
-	// PrefetchWorkers is ignored since the reader is the read-ahead.
+	// PrefetchWorkers is ignored since the reader is the read-ahead. A
+	// batch is the sharing config's prefetch extent, and a subscriber that
+	// holds the reader up for longer than its share of the fairness
+	// throttle fraction pulls its remainder itself.
 	PushDelivery bool
-	// PushBatchPages is the push-mode delivery batch size in pages; 0
-	// picks the sharing config's prefetch extent.
-	PushBatchPages int
-	// SubscriberQueueBatches bounds each subscriber's delivery channel in
-	// batches; 0 picks a default. Smaller values couple the group tighter.
-	SubscriberQueueBatches int
-	// PushStallBudget caps the total time the push reader may spend
-	// blocked on one subscriber's full channel before demoting it to
-	// pulling its remainder itself; 0 derives the cap from the fairness
-	// throttle fraction and the scan's estimated duration.
-	PushStallBudget time.Duration
 
 	// Faults, when non-nil, injects the plan's deterministic read failures
 	// underneath the page store.
@@ -362,24 +351,19 @@ func (e *Engine) RunRealtime(ctx context.Context, opts RealtimeOptions, scans []
 	for _, b := range batches {
 		b, bi := b, bi
 		runner, err := realtime.NewRunner(realtime.Config{
-			Pool:                   b.rt.pool,
-			Manager:                b.rt.ssm,
-			Store:                  store,
-			Collector:              col,
-			PrefetchWorkers:        opts.PrefetchWorkers,
-			PrefetchQueueExtents:   opts.PrefetchQueueExtents,
-			ReadTimeout:            opts.ReadTimeout,
-			MaxReadRetries:         opts.MaxReadRetries,
-			RetryBackoff:           opts.RetryBackoff,
-			MaxRetryBackoff:        opts.MaxRetryBackoff,
-			DetachAfterFailures:    opts.DetachAfterFailures,
-			ContinueOnPageFailure:  opts.ContinueOnPageFailure,
-			CoalesceReads:          true,
-			Tracer:                 tr,
-			PushDelivery:           opts.PushDelivery,
-			PushBatchPages:         opts.PushBatchPages,
-			SubscriberQueueBatches: opts.SubscriberQueueBatches,
-			PushStallBudget:        opts.PushStallBudget,
+			Pool:                  b.rt.pool,
+			Manager:               b.rt.ssm,
+			Store:                 store,
+			Collector:             col,
+			PrefetchWorkers:       opts.PrefetchWorkers,
+			ReadTimeout:           opts.ReadTimeout,
+			MaxReadRetries:        opts.MaxReadRetries,
+			RetryBackoff:          opts.RetryBackoff,
+			MaxRetryBackoff:       opts.MaxRetryBackoff,
+			DetachAfterFailures:   opts.DetachAfterFailures,
+			ContinueOnPageFailure: opts.ContinueOnPageFailure,
+			Tracer:                tr,
+			PushDelivery:          opts.PushDelivery,
 		})
 		if err != nil {
 			return nil, err

@@ -3,7 +3,7 @@
 GO ?= go
 FUZZTIME ?= 10s
 
-.PHONY: check vet lint build test race fuzz bench bench-pool bench-fold bench-sim bench-load bench-harness
+.PHONY: check vet lint build test race fuzz bench bench-pool bench-fold bench-sim bench-load bench-core bench-harness
 
 # Every target runs in turn and reports its wall time, so a slow gate names
 # the step that made it slow.
@@ -65,16 +65,20 @@ race:
 
 # Short coverage-guided fuzz passes: the SQL parser, the buffer pool's
 # operation-sequence fuzzer (which also covers the replacement-policy and
-# translation-table choices plus scan-registration events), and the
-# translation-directory fuzzer (chunked COW growth, range discipline,
-# overflow ids), and the tuple decoder under arbitrary schemas, column sets
-# and page bytes (never panics, never reads past the buffer, agrees with the
-# full decode); a longer session is one FUZZTIME=5m away.
+# translation-table choices plus mutations of the scan source the predictive
+# policy reads), and the translation-directory fuzzer (chunked COW growth,
+# range discipline, overflow ids), the tuple decoder under arbitrary schemas,
+# column sets and page bytes (never panics, never reads past the buffer,
+# agrees with the full decode), and the service's frame decoder (never
+# panics, rejects a bad length before allocating, truncation is an EOF,
+# requests round-trip); each runs FUZZTIME, and a longer session is one
+# FUZZTIME=5m away.
 fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -fuzz FuzzPoolOps -fuzztime $(FUZZTIME) ./internal/buffer
 	$(GO) test -fuzz FuzzTranslation -fuzztime $(FUZZTIME) ./internal/buffer
 	$(GO) test -fuzz FuzzDecodeColumns -fuzztime $(FUZZTIME) ./internal/record
+	$(GO) test -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/server
 
 bench:
 	$(GO) test -bench=. -benchmem -run=^$$ ./...
@@ -110,6 +114,14 @@ bench-sim:
 # and the pages themselves by the TestLoadMatchesReference oracles.
 bench-load:
 	$(GO) test -run '^$$' -bench BenchmarkLoad -benchmem ./internal/workload
+
+# One progress report to the scan sharing manager, its per-extent hot path,
+# with 8, 64 and 512 live scans over 1 and 4 tables, from one goroutine and
+# from GOMAXPROCS goroutines at once. Its zero allocations are pinned in
+# tier-1 by TestReportProgressDoesNotAllocate; a measured run is in
+# EXPERIMENTS.md.
+bench-core:
+	$(GO) test -run '^$$' -bench BenchmarkReportProgress -benchmem ./internal/core
 
 # The repo benchmark (BENCHMARK.json, benchmark/) is a module of its own that
 # `./...` does not reach: vet and test the harness, then run every workload

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"sync"
 	"time"
 
 	"scanshare/internal/buffer"
@@ -59,9 +60,51 @@ type Engine struct {
 
 // poolRT bundles one buffer pool with its scan sharing manager.
 type poolRT struct {
-	name string
-	pool *buffer.Pool
-	ssm  *core.Manager
+	name  string
+	pool  *buffer.Pool
+	ssm   *core.Manager
+	scans *managerScans // the pool's scan source, reading ssm
+}
+
+// managerScans is a pool's scan source, which only a predictive pool reads:
+// the scans its sharing manager tracks to place, group and throttle them,
+// anchored in device page space at each table's first page (every table's
+// pages are contiguous on the device). It is the pool's only scan registry.
+type managerScans struct {
+	ssm *core.Manager
+	mu  sync.Mutex
+	// first maps each table of the pool to its first device page; buf
+	// holds the positions last read from the manager, reused across
+	// victims and kept while the manager is busy.
+	first map[core.TableID]disk.PageID
+	buf   []core.ScanPosition
+}
+
+func (s *managerScans) addTable(id core.TableID, first disk.PageID) {
+	s.mu.Lock()
+	s.first[id] = first
+	s.mu.Unlock()
+}
+
+// AppendScans implements buffer.ScanSource.
+func (s *managerScans) AppendScans(dst []buffer.ScanState) []buffer.ScanState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if buf, ok := s.ssm.AppendScans(s.buf[:0]); ok {
+		s.buf = buf
+	}
+	for _, sp := range s.buf {
+		base, ok := s.first[sp.Table]
+		if !ok {
+			continue
+		}
+		dst = append(dst, buffer.ScanState{
+			Footprint: buffer.ScanFootprint{Base: base, Start: sp.Start, End: sp.End, Origin: sp.Origin},
+			Processed: sp.Processed,
+			Speed:     sp.Speed,
+		})
+	}
+	return dst
 }
 
 // New creates an engine. Zero-valued config fields take defaults; see the
@@ -159,8 +202,9 @@ func New(cfg Config) (*Engine, error) {
 	return e, nil
 }
 
-// newPoolRT creates one buffer pool and its scan sharing manager. The SSM's
-// grouping budget is the pool's own size. shards <= 1 builds the classic
+// newPoolRT creates one buffer pool and its scan sharing manager, which is
+// also the pool's scan source. The SSM's grouping budget is the pool's own
+// size. shards <= 1 builds the classic
 // single-shard pool; policy "" selects the default priority-LRU replacement;
 // translation "" selects the classic map page table. Array translation
 // coverage grows on demand as tables load, since pools are created before
@@ -206,7 +250,9 @@ func newPoolRT(name string, pages, shards int, policy, translation string, s Sha
 	if err != nil {
 		return nil, err
 	}
-	return &poolRT{name: name, pool: pool, ssm: ssm}, nil
+	scans := &managerScans{ssm: ssm, first: make(map[core.TableID]disk.PageID)}
+	pool.SetScanSource(scans)
+	return &poolRT{name: name, pool: pool, ssm: ssm, scans: scans}, nil
 }
 
 // MustNew is New panicking on error, for tests and examples with known-good
@@ -285,6 +331,7 @@ func (e *Engine) LoadTableInPool(name, pool string, schema *Schema, load func(ad
 		return nil, err
 	}
 	t := &Table{eng: e, id: id, tbl: tbl, rt: rt}
+	rt.scans.addTable(t.coreTableID(), tbl.FirstPage())
 	e.tableRT[id] = rt
 	e.tableStats[id] = stats
 	return t, nil

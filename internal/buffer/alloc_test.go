@@ -15,7 +15,9 @@ import (
 // replacement lists are threaded through the frames. The one allocation
 // left on the page path is array translation's content cell, published
 // fresh by every Fill: it must stay immutable for optimistic readers that
-// still hold the previous one (see translation.go).
+// still hold the previous one (see translation.go). Every pool has a scan
+// source attached, which the predictive victim reads; its scans protect no
+// page of the cycle, so both policies still evict in release order.
 func TestPoolPathDoesNotAllocate(t *testing.T) {
 	if heaptest.RaceEnabled {
 		t.Skip("the race detector changes allocation counts")
@@ -32,6 +34,12 @@ func TestPoolPathDoesNotAllocate(t *testing.T) {
 		for _, pol := range Policies() {
 			t.Run(tr+"/"+pol, func(t *testing.T) {
 				p := MustNewPoolOpts(PoolOptions{Capacity: capacity, Policy: pol, Translation: tr})
+				src := newFakeScans(p)
+				// One scan elsewhere on the device, one past every page of
+				// the cycle.
+				src.register(1, ScanFootprint{Base: 1 << 20, Start: 0, End: cycle, Origin: 0}, 10)
+				src.register(2, ScanFootprint{Start: 0, End: cycle, Origin: 0}, 10)
+				src.update(2, cycle, 10)
 				next := 0
 				missFillRelease := func() {
 					pid := disk.PageID(next % cycle)
@@ -100,7 +108,60 @@ func TestPoolPathDoesNotAllocate(t *testing.T) {
 					}
 				})
 				p.CheckInvariants()
+				if read := src.reads.Load() > 0; read != (pol == PolicyPredictive) {
+					t.Errorf("scan source read: %v, want %v", read, pol == PolicyPredictive)
+				}
 			})
 		}
 	}
+}
+
+// TestPredictiveVictimDoesNotAllocate pins a warm predictive victim at zero
+// allocations: with three live scans at different positions over a page
+// cycle four times the pool, every miss evicts by next-use estimate, and
+// reading the scans into the shard's scratch slice allocates nothing once
+// the slice has grown.
+func TestPredictiveVictimDoesNotAllocate(t *testing.T) {
+	if heaptest.RaceEnabled {
+		t.Skip("the race detector changes allocation counts")
+	}
+	const (
+		capacity = 8
+		cycle    = 4 * capacity
+	)
+	p := MustNewPoolPolicy(capacity, 1, PolicyPredictive)
+	src := newFakeScans(p)
+	for i := int64(0); i < 3; i++ {
+		src.register(i, ScanFootprint{Start: 0, End: cycle, Origin: int(i) * 10}, float64(5+i))
+		src.update(i, int(i)*3, float64(10*(i+1)))
+	}
+	page := []byte{1}
+	next := 0
+	touch := func() {
+		pid := disk.PageID(next % cycle)
+		next++
+		switch st, _ := p.Acquire(pid); st {
+		case Miss:
+			if err := p.Fill(pid, page); err != nil {
+				panic(err)
+			}
+		case Hit:
+		default:
+			panic(fmt.Sprintf("Acquire(%d) = %v", pid, st))
+		}
+		if err := p.Release(pid, PriorityNormal); err != nil {
+			panic(err)
+		}
+	}
+	for i := 0; i < 16*cycle; i++ {
+		touch()
+	}
+	before := p.Stats().Evictions
+	if got := testing.AllocsPerRun(200, touch); got != 0 {
+		t.Errorf("%v allocations per page, want 0", got)
+	}
+	if p.Stats().Evictions == before {
+		t.Fatal("no eviction happened; the victim path went unmeasured")
+	}
+	p.CheckInvariants()
 }

@@ -12,14 +12,14 @@ import (
 // policy byte selects the replacement policy in its low bits and the
 // translation table in its top bit (0x80: array translation with the
 // optimistic read path), and acquire opcodes with the 0x20 bit set become
-// scan-registration events (register, progress report, activity toggle,
+// scan-source mutations (register, progress report, activity toggle,
 // unregister), so the same op streams run under both policies, both
-// translations, and interleaved registration traffic. A settle opcode for a
+// translations, and interleaved changes to the scans the pool plans by. A settle opcode for a
 // page with no read in flight doubles as an optimistic-read probe, whose
 // outcome is checked against residency (map pools must always decline).
 // After each input the pool must pass CheckInvariants and the cross-policy
 // invariants must hold: the counter identities, capacity, pinned-page
-// residency, and the registration count (zero on non-scan-aware pools); the
+// residency, and a priority-LRU pool never reading its scan source; the
 // fuzzer's job is to find an op order that corrupts the policy order, the
 // pending counter, the version protocol, or the stats.
 func FuzzPoolOps(f *testing.F) {
@@ -51,6 +51,7 @@ func FuzzPoolOps(f *testing.F) {
 			{Start: 5, End: 5, Origin: 5},
 		}
 
+		src := newFakeScans(pool)
 		pins := map[disk.PageID]int{}
 		pending := map[disk.PageID]bool{}
 		regs := map[int64]bool{}
@@ -59,22 +60,20 @@ func FuzzPoolOps(f *testing.F) {
 			switch b >> 6 {
 			case 0:
 				if b&0x20 != 0 {
-					// Scan-registration event: bits 0-1 pick the kind,
+					// Scan-source mutation: bits 0-1 pick the kind,
 					// bit 2 the scan id, bits 3-4 the parameter variant.
 					id := int64(b >> 2 & 1)
 					v := int(b >> 3 & 3)
 					switch b & 3 {
 					case 0:
-						pool.RegisterScan(id, footprints[v], float64(v))
-						if pool.ScanAware() && footprints[v].valid() {
-							regs[id] = true
-						}
+						src.register(id, footprints[v], float64(v))
+						regs[id] = true
 					case 1:
-						pool.UpdateScan(id, v*8-4, float64(v)-1)
+						src.update(id, v*8-4, float64(v)-1)
 					case 2:
-						pool.SetScanActive(id, v&1 == 0)
+						src.setActive(id, v&1 == 0)
 					default:
-						pool.UnregisterScan(id)
+						src.unregister(id)
 						delete(regs, id)
 					}
 					continue
@@ -155,10 +154,10 @@ func FuzzPoolOps(f *testing.F) {
 			}
 		}
 		switch want := len(regs); {
-		case !pool.ScanAware() && pool.RegisteredScans() != 0:
-			t.Fatalf("policy %s reports %d registered scans, want 0", policy, pool.RegisteredScans())
-		case pool.ScanAware() && pool.RegisteredScans() != want:
-			t.Fatalf("registered scans %d, want %d", pool.RegisteredScans(), want)
+		case pool.Policy() != PolicyPredictive && src.reads.Load() != 0:
+			t.Fatalf("policy %s read its scan source %d times, want 0", policy, src.reads.Load())
+		case src.len() != want:
+			t.Fatalf("registered scans %d, want %d", src.len(), want)
 		}
 	})
 }

@@ -154,6 +154,7 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 				rng := rand.New(rand.NewSource(seed))
 				capacity := 2 + rng.Intn(12)
 				pool := MustNewPoolPolicy(capacity, 1, policy)
+				src := newFakeScans(pool)
 				ref := newRefPool(capacity, policy)
 				held := map[disk.PageID]bool{}
 
@@ -162,7 +163,7 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 					end := start + 1 + rng.Intn(pageRange-start)
 					origin := start + rng.Intn(end-start)
 					seedSpeed := float64(1 + rng.Intn(8))
-					pool.RegisterScan(id, ScanFootprint{Start: start, End: end, Origin: origin}, seedSpeed)
+					src.register(id, ScanFootprint{Start: start, End: end, Origin: origin}, seedSpeed)
 					ref.scans.register(id, 0, start, end, origin, seedSpeed)
 				}
 				if policy == PolicyPredictive {
@@ -179,7 +180,7 @@ func TestPoolMatchesReferenceModel(t *testing.T) {
 						} else {
 							processed := rng.Intn(pageRange)
 							sp := float64(rng.Intn(6)) // 0 exercises the seed fallback
-							pool.UpdateScan(id, processed, sp)
+							src.update(id, processed, sp)
 							ref.scans.update(id, processed, sp)
 						}
 					}

@@ -11,11 +11,11 @@ const (
 	// deterministic operation order, which the replay harness depends on.
 	PolicyLRU = "priority-lru"
 	// PolicyPredictive is predictive buffer management (arXiv 1208.4170,
-	// "From Cooperative Scans to Predictive Buffer Management"): scans
-	// register their position and speed with the pool, each frame gets a
-	// time-to-next-use estimate, and the victim is the frame with the
-	// largest estimated reuse distance. With no scans registered it
-	// degenerates to plain LRU on release order.
+	// "From Cooperative Scans to Predictive Buffer Management"): the pool
+	// reads every live scan's position and speed from its ScanSource, each
+	// frame gets a time-to-next-use estimate, and the victim is the frame
+	// with the largest estimated reuse distance. With no source or no live
+	// scans it degenerates to plain LRU on release order.
 	PolicyPredictive = "predictive"
 )
 
@@ -36,8 +36,8 @@ func NormalizePolicy(name string) (string, error) {
 
 // replacementPolicy is the per-shard eviction strategy. Every method is
 // called with the owning shard's mutex held, so implementations need no
-// locking of their own for frame bookkeeping (policy state shared across
-// shards, like the predictive scan table, synchronizes separately).
+// locking of their own for frame bookkeeping (the predictive policy's scan
+// source, shared across shards, synchronizes itself).
 //
 // The shard keeps ownership of the frame table, pin counts, stats, and trace
 // emission; the policy only orders the unpinned frames and picks victims.
@@ -64,11 +64,10 @@ type replacementPolicy interface {
 }
 
 // newPolicy builds the per-shard policy state for a canonical policy name.
-// The predictive policy shares the pool-level scan table.
-func newPolicy(policy string, scans *scanTable) replacementPolicy {
+func newPolicy(policy string) replacementPolicy {
 	switch policy {
 	case PolicyPredictive:
-		p := &predictivePolicy{scans: scans}
+		p := &predictivePolicy{}
 		p.order.init()
 		return p
 	default:

@@ -14,8 +14,8 @@
 // released unpinned page of the lowest occupied priority level. With every
 // page released at the same priority this degenerates to plain LRU, which is
 // the paper's baseline. The alternative PolicyPredictive replaces the hint
-// scheme with per-page time-to-next-use estimates fed by scan registrations
-// (see predictive.go).
+// scheme with per-page time-to-next-use estimates computed from the live
+// scans a ScanSource reports (see predictive.go).
 //
 // The pool is lock-striped: capacity is partitioned across N shards and a
 // page id hashes to exactly one shard, which owns the page's frame, its
@@ -26,9 +26,10 @@
 // single shard the pool is byte-for-byte the classic global-mutex design,
 // which is what the deterministic replay harness relies on.
 //
-// The pool deliberately knows nothing about scans, groups, or the sharing
-// manager — the paper's design point is that the caching system can remain a
-// black box, with the mechanism confined to the scan operators.
+// The priority-LRU pool deliberately knows nothing about scans, groups, or
+// the sharing manager — the paper's design point is that the caching system
+// can remain a black box, with the mechanism confined to the scan operators.
+// Only the predictive policy looks at scans, through the narrow ScanSource.
 package buffer
 
 import (
@@ -311,9 +312,6 @@ type Pool struct {
 	// xlate is the shared array translation table; nil under map
 	// translation (which also disables the optimistic read path).
 	xlate *translation
-	// scans is the predictive policy's scan registry, shared by all
-	// shards; nil under policies that ignore scan registrations.
-	scans *scanTable
 	// tracer, when set, receives an eviction event per victimized frame.
 	// Emission is non-blocking, so holding a shard lock across it is fine.
 	tracer atomic.Pointer[trace.Tracer]
@@ -408,9 +406,6 @@ func NewPoolOpts(o PoolOptions) (*Pool, error) {
 		return nil, fmt.Errorf("buffer: negative translation pre-size %d", o.TranslationPages)
 	}
 	p := &Pool{capacity: capacity, policy: canonical, translation: xkind, shards: make([]*shard, shards)}
-	if canonical == PolicyPredictive {
-		p.scans = newScanTable()
-	}
 	if xkind == TranslationArray {
 		p.xlate = newTranslation(o.TranslationPages)
 	}
@@ -422,7 +417,7 @@ func NewPoolOpts(o PoolOptions) (*Pool, error) {
 		}
 		s := &shard{
 			capacity: c,
-			policy:   newPolicy(canonical, p.scans),
+			policy:   newPolicy(canonical),
 			tracer:   &p.tracer,
 		}
 		if p.xlate == nil {

@@ -2,23 +2,93 @@ package buffer
 
 import (
 	"math"
+	"sync"
+	"sync/atomic"
 	"testing"
 
 	"scanshare/internal/disk"
 )
 
-// snapOf builds the estimator's input from a pool's live scan table, the
-// same way victim selection does.
-func snapOf(t *testing.T, p *Pool) []scanSnap {
-	t.Helper()
-	if p.scans == nil {
-		t.Fatal("pool is not scan-aware")
-	}
-	return p.scans.snapshot(nil)
+// fakeScans is a ScanSource the tests drive by hand, with the registry
+// semantics the sharing manager gives the engine's pools: a registration
+// holds a footprint and a seed speed (re-registering an id replaces it), an
+// update sets progress and the measured speed, a non-positive measured speed
+// falls back to the seed, and an inactive (detached) scan is not reported.
+// Footprints and progress pass through unchecked, so the pool's own
+// defences stay under test. reads counts AppendScans calls.
+type fakeScans struct {
+	mu    sync.Mutex
+	scans map[int64]*fakeScan
+	reads atomic.Int64
 }
 
-// TestNextUseEstimate drives the estimator through its edge cases via the
-// public registration API: stalled and backward speed samples, detached and
+type fakeScan struct {
+	fp          ScanFootprint
+	seed, speed float64
+	processed   int
+	inactive    bool
+}
+
+// newFakeScans makes an empty source and attaches it to p.
+func newFakeScans(p *Pool) *fakeScans {
+	f := &fakeScans{scans: map[int64]*fakeScan{}}
+	p.SetScanSource(f)
+	return f
+}
+
+func (f *fakeScans) register(id int64, fp ScanFootprint, seed float64) {
+	f.mu.Lock()
+	f.scans[id] = &fakeScan{fp: fp, seed: seed}
+	f.mu.Unlock()
+}
+
+func (f *fakeScans) update(id int64, processed int, speed float64) {
+	f.mu.Lock()
+	if s := f.scans[id]; s != nil {
+		s.processed, s.speed = processed, speed
+	}
+	f.mu.Unlock()
+}
+
+func (f *fakeScans) setActive(id int64, active bool) {
+	f.mu.Lock()
+	if s := f.scans[id]; s != nil {
+		s.inactive = !active
+	}
+	f.mu.Unlock()
+}
+
+func (f *fakeScans) unregister(id int64) {
+	f.mu.Lock()
+	delete(f.scans, id)
+	f.mu.Unlock()
+}
+
+func (f *fakeScans) len() int {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	return len(f.scans)
+}
+
+func (f *fakeScans) AppendScans(dst []ScanState) []ScanState {
+	f.reads.Add(1)
+	f.mu.Lock()
+	for _, s := range f.scans {
+		if s.inactive {
+			continue
+		}
+		speed := s.speed
+		if speed <= 0 {
+			speed = s.seed
+		}
+		dst = append(dst, ScanState{Footprint: s.fp, Processed: s.processed, Speed: speed})
+	}
+	f.mu.Unlock()
+	return dst
+}
+
+// TestNextUseEstimate drives the estimator through its edge cases via a
+// scan source, read the way victim selection reads it: stalled and backward speed samples, detached and
 // rejoined scans, positions past the end of the footprint, pages outside
 // every footprint, and wrap-around visit order.
 func TestNextUseEstimate(t *testing.T) {
@@ -28,7 +98,7 @@ func TestNextUseEstimate(t *testing.T) {
 		seed      float64
 		processed int
 		speed     float64
-		update    bool // apply processed/speed via UpdateScan
+		update    bool // apply processed/speed as a progress update
 		inactive  bool
 	}
 	cases := []struct {
@@ -129,17 +199,17 @@ func TestNextUseEstimate(t *testing.T) {
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			pool := MustNewPoolPolicy(8, 1, PolicyPredictive)
+			src := newFakeScans(MustNewPoolPolicy(8, 1, PolicyPredictive))
 			for _, s := range tc.scans {
-				pool.RegisterScan(s.id, s.fp, s.seed)
+				src.register(s.id, s.fp, s.seed)
 				if s.update {
-					pool.UpdateScan(s.id, s.processed, s.speed)
+					src.update(s.id, s.processed, s.speed)
 				}
 				if s.inactive {
-					pool.SetScanActive(s.id, false)
+					src.setActive(s.id, false)
 				}
 			}
-			got := nextUseEstimate(snapOf(t, pool), tc.pid)
+			got := nextUseEstimate(readScans(src, nil), tc.pid)
 			if got != tc.want {
 				t.Fatalf("estimate(%d) = %v, want %v", tc.pid, got, tc.want)
 			}
@@ -168,8 +238,9 @@ func fillAndRelease(t *testing.T, p *Pool, pid disk.PageID) {
 func TestPredictiveVictimChoice(t *testing.T) {
 	t.Run("furthest next use evicted first", func(t *testing.T) {
 		pool := MustNewPoolPolicy(3, 1, PolicyPredictive)
-		pool.RegisterScan(1, ScanFootprint{Start: 0, End: 30, Origin: 0}, 10)
-		pool.UpdateScan(1, 5, 10)
+		src := newFakeScans(pool)
+		src.register(1, ScanFootprint{Start: 0, End: 30, Origin: 0}, 10)
+		src.update(1, 5, 10)
 		// Pages 6, 12, 25 are all upcoming; 25 is furthest.
 		for _, pid := range []disk.PageID{25, 6, 12} {
 			fillAndRelease(t, pool, pid)
@@ -189,8 +260,9 @@ func TestPredictiveVictimChoice(t *testing.T) {
 
 	t.Run("consumed page evicted before upcoming ones", func(t *testing.T) {
 		pool := MustNewPoolPolicy(3, 1, PolicyPredictive)
-		pool.RegisterScan(1, ScanFootprint{Start: 0, End: 30, Origin: 0}, 10)
-		pool.UpdateScan(1, 10, 10)
+		src := newFakeScans(pool)
+		src.register(1, ScanFootprint{Start: 0, End: 30, Origin: 0}, 10)
+		src.update(1, 10, 10)
 		// Page 2 is behind the scan (never reused); 12 and 28 are ahead.
 		for _, pid := range []disk.PageID{28, 2, 12} {
 			fillAndRelease(t, pool, pid)
@@ -224,13 +296,14 @@ func TestPredictiveVictimChoice(t *testing.T) {
 
 	t.Run("unregister drops protection", func(t *testing.T) {
 		pool := MustNewPoolPolicy(2, 1, PolicyPredictive)
-		pool.RegisterScan(1, ScanFootprint{Start: 0, End: 30, Origin: 0}, 10)
+		src := newFakeScans(pool)
+		src.register(1, ScanFootprint{Start: 0, End: 30, Origin: 0}, 10)
 		for _, pid := range []disk.PageID{20, 4} {
 			fillAndRelease(t, pool, pid)
 		}
-		pool.UnregisterScan(1)
-		if n := pool.RegisteredScans(); n != 0 {
-			t.Fatalf("RegisteredScans() = %d after unregister", n)
+		src.unregister(1)
+		if n := len(readScans(src, nil)); n != 0 {
+			t.Fatalf("the pool reads %d scans after unregister", n)
 		}
 		// Without the scan both pages estimate +Inf; release order decides.
 		if st, _ := pool.Acquire(9); st != Miss {

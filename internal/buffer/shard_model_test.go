@@ -97,8 +97,8 @@ type modelScan struct {
 	active             bool
 }
 
-// modelScanTable mirrors the pool-level scan registry. It is shared by every
-// model shard's predictive policy, like the real scanTable.
+// modelScanTable mirrors the scans the pool's source reports. It is shared by
+// every model shard's predictive policy, like the real pool's one source.
 type modelScanTable struct {
 	scans map[int64]*modelScan
 }
@@ -108,9 +108,6 @@ func newModelScanTable() *modelScanTable {
 }
 
 func (t *modelScanTable) register(id int64, base int64, start, end, origin int, seed float64) {
-	if end <= start || origin < start || origin >= end {
-		return // invalid registrations are advisory no-ops
-	}
 	t.scans[id] = &modelScan{base: base, start: start, end: end, origin: origin, seed: seed, active: true}
 }
 
@@ -143,8 +140,8 @@ func (t *modelScanTable) unregister(id int64) { delete(t.scans, id) }
 func modelNextUse(t *modelScanTable, pid disk.PageID) float64 {
 	best := math.Inf(1)
 	for _, s := range t.scans {
-		if !s.active {
-			continue
+		if !s.active || s.end <= s.start || s.origin < s.start || s.origin >= s.end {
+			continue // detached, or an invalid footprint the pool ignores
 		}
 		speed := s.speed
 		if speed <= 0 {
@@ -435,8 +432,9 @@ func runShardedModelSeq(t *testing.T, translation, policy string, shards int, se
 	}()
 
 	// One reference model per shard, with the pool's exact capacity split.
-	// The predictive models share one scan registry, like the real shards
-	// share the pool-level scan table.
+	// The predictive models share one scan table, like the real shards
+	// share the pool's scan source.
+	src := newFakeScans(pool)
 	scanTbl := newModelScanTable()
 	newPolicyModel := func() modelPolicy {
 		if policy == PolicyPredictive {
@@ -497,10 +495,10 @@ func runShardedModelSeq(t *testing.T, translation, policy string, shards int, se
 		}
 	}
 
-	// scanEvent drives the pool's scan-registration API and mirrors it into
-	// the model registry. On the LRU pool the calls must be no-ops; the model
-	// registry is simply never consulted there, so any effect they had on
-	// eviction would show up as a divergence.
+	// scanEvent drives the pool's scan source and mirrors it into the model
+	// table. The LRU pool must ignore the source; the model table is simply
+	// never consulted there, so any effect it had on eviction would show up
+	// as a divergence.
 	speeds := []float64{0, -3, 0.25, 1, 4, 50}
 	scanEvent := func() {
 		id := int64(rng.Intn(2))
@@ -510,22 +508,22 @@ func runShardedModelSeq(t *testing.T, translation, policy string, shards int, se
 			end := start + 1 + rng.Intn(pageRange-start)
 			origin := start + rng.Intn(end-start)
 			if rng.Intn(5) == 0 {
-				end = start // invalid: must be ignored by both sides
+				end = start // invalid: the scan must protect nothing on both sides
 			}
 			seedSpeed := speeds[rng.Intn(len(speeds))]
-			pool.RegisterScan(id, ScanFootprint{Base: 0, Start: start, End: end, Origin: origin}, seedSpeed)
+			src.register(id, ScanFootprint{Base: 0, Start: start, End: end, Origin: origin}, seedSpeed)
 			scanTbl.register(id, 0, start, end, origin, seedSpeed)
 		case 1, 2: // progress report, possibly out of range
 			processed := rng.Intn(pageRange+10) - 5
 			sp := speeds[rng.Intn(len(speeds))]
-			pool.UpdateScan(id, processed, sp)
+			src.update(id, processed, sp)
 			scanTbl.update(id, processed, sp)
 		case 3:
 			active := rng.Intn(2) == 0
-			pool.SetScanActive(id, active)
+			src.setActive(id, active)
 			scanTbl.setActive(id, active)
 		default:
-			pool.UnregisterScan(id)
+			src.unregister(id)
 			scanTbl.unregister(id)
 		}
 	}

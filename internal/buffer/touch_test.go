@@ -40,11 +40,11 @@ func TestOptimisticHitsProtectHotSet(t *testing.T) {
 				Capacity: capacity, Policy: policy, Translation: TranslationArray,
 			})
 			// For the predictive policy the hot set's protection comes from
-			// the scan feed, not the touched bit: keep a registered scan
-			// whose upcoming pages are exactly the hot set, as the realtime
-			// runner's feed would.
+			// the scan source, not the touched bit: keep a live scan whose
+			// upcoming pages are exactly the hot set, as the sharing manager
+			// would report it.
 			if policy == PolicyPredictive {
-				p.RegisterScan(1, ScanFootprint{Start: 0, End: hotPages, Origin: 0}, 1)
+				newFakeScans(p).register(1, ScanFootprint{Start: 0, End: hotPages, Origin: 0}, 1)
 			}
 			for pid := disk.PageID(0); pid < hotPages; pid++ {
 				fillRelease(t, p, pid, PriorityNormal)

@@ -243,8 +243,8 @@ func (p *Pool) ReadOptimistic(pid disk.PageID) ([]byte, bool) {
 		// eviction may recycle the frame between validation and this store,
 		// granting the next occupant one undeserved reprieve — benign, and
 		// reserveLocked clears the bit anyway. The predictive policy ignores
-		// it: its relevance estimates are refreshed by the scan feed
-		// (UpdateScan runs per page processed, optimistic or not).
+		// it: it reads each scan's position from its scan source, which
+		// counts a page processed whether its read was optimistic or not.
 		f.touched.Store(true)
 		s.optHits.Add(1)
 		return c.data, true

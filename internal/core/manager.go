@@ -747,41 +747,73 @@ func (m *Manager) Stats() Stats {
 	return m.stats
 }
 
-// ScanFeed is the position/speed sample a scan-aware buffer pool consumes:
-// the predictive replacement policy (buffer.PolicyPredictive) estimates page
-// time-to-next-use from these values. Speeds are derived from the manager's
-// clocked progress reports, so under the virtual-time harness they are fully
-// deterministic.
-type ScanFeed struct {
-	// Processed is how many pages the scan has consumed, in circular
-	// visit order from its placement origin.
-	Processed int
-	// SpeedPagesSec is the manager's current speed estimate, falling back
-	// to the a-priori estimate while no measured speed exists. It can be
-	// zero if neither is known.
-	SpeedPagesSec float64
-	// Detached reports whether the scan is currently excluded from group
-	// coordination (its progress reports may be stale).
-	Detached bool
+// ScanPosition is one scan's footprint, progress and speed as AppendScans
+// reports them: the scan visits table pages [Start, End) circularly from
+// Origin, has processed Processed of them, and moves at Speed pages per
+// second. It is what the predictive replacement policy
+// (buffer.PolicyPredictive) estimates a page's time to next use from.
+type ScanPosition struct {
+	Table              TableID
+	Start, End, Origin int
+	Processed          int
+	// Speed is the manager's current speed estimate, falling back to the
+	// a-priori estimate while no measured speed exists; it can be zero if
+	// neither is known. Under the virtual-time harness it is derived from
+	// clocked progress reports, so it is fully deterministic.
+	Speed float64
 }
 
-// ScanFeed returns the feed sample for scan id, or ok=false if the scan is
-// not registered. It is deliberately separate from Advice: advice is part of
-// the deterministic decision trace that the sim/realtime parity suite
-// compares, while the feed carries timing-derived state that only the buffer
-// pool consumes.
-func (m *Manager) ScanFeed(id ScanID) (ScanFeed, bool) {
+// AppendScans appends the position of every registered scan that is not
+// detached (a detached scan's reports stop, so its position goes stale) to
+// dst and returns the extended slice and true. It never waits: while another
+// goroutine holds the manager — a report, which can also be waiting to hand
+// its events to the observer — it returns dst and false at once, so a caller
+// holding a lock of its own (a buffer pool choosing a victim) keeps the
+// positions it read last instead of queueing behind the manager. It
+// allocates nothing once dst has room. The order is unspecified.
+func (m *Manager) AppendScans(dst []ScanPosition) ([]ScanPosition, bool) {
+	if !m.mu.TryLock() {
+		return dst, false
+	}
+	for _, s := range m.scans {
+		if s.detached {
+			continue
+		}
+		speed := s.speed
+		if speed <= 0 {
+			speed = s.initialSpeed
+		}
+		dst = append(dst, ScanPosition{
+			Table: s.table, Start: s.startPage, End: s.endPage, Origin: s.origin,
+			Processed: s.processed, Speed: speed,
+		})
+	}
+	m.mu.Unlock()
+	return dst, true
+}
+
+// MoveOrigin re-places scan id, before its first page, at origin: for a
+// consumer that learns where it really begins only after StartScan, such as
+// a push subscriber admitted at the stream's current position rather than
+// at its placement. It fails once the scan has reported progress, or if
+// origin lies outside the scan's range.
+func (m *Manager) MoveOrigin(id ScanID, origin int) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	s, ok := m.scans[id]
-	if !ok {
-		return ScanFeed{}, false
+	switch {
+	case !ok:
+		return fmt.Errorf("core: MoveOrigin for unknown scan %d", id)
+	case s.processed != 0:
+		return fmt.Errorf("core: scan %d moved after processing %d pages", id, s.processed)
+	case origin < s.startPage || origin >= s.endPage:
+		return fmt.Errorf("core: origin %d outside scan %d's range [%d,%d)", origin, id, s.startPage, s.endPage)
 	}
-	speed := s.speed
-	if speed <= 0 {
-		speed = s.initialSpeed
+	if s.origin != origin {
+		s.origin = origin
+		m.dirty = true
 	}
-	return ScanFeed{Processed: s.processed, SpeedPagesSec: speed, Detached: s.detached}, true
+	return nil
 }
 
 // groupOf returns the group containing scan id, or nil. Groups must be

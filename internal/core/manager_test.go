@@ -3,6 +3,8 @@ package core
 import (
 	"testing"
 	"time"
+
+	"scanshare/internal/heap/heaptest"
 )
 
 // testConfig: 1000-page buffer budget, 16-page extents, 32-page throttle
@@ -506,5 +508,92 @@ func TestEventKindString(t *testing.T) {
 		if k.String() != want {
 			t.Errorf("EventKind.String() = %q, want %q", k.String(), want)
 		}
+	}
+}
+
+// TestAppendScans: the reader the predictive pool plans evictions by reports
+// every attached scan's range, origin, progress and speed — the measured
+// speed once a report has clocked one, the a-priori estimate before — leaves
+// detached scans out, and allocates nothing once the caller's slice has room.
+func TestAppendScans(t *testing.T) {
+	m := MustNewManager(DefaultConfig(1000))
+	a, _ := startScan(t, m, 1, 100, 0)
+	b, pl, err := m.StartScan(ScanOpts{Table: 2, TablePages: 100, StartPage: 10, EndPage: 50, EstimatedDuration: 4 * time.Second}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, _ := startScan(t, m, 1, 100, 0)
+	report(t, m, a, 40, time.Second)
+	if err := m.DetachScan(c, time.Second); err != nil {
+		t.Fatal(err)
+	}
+
+	got, ok := m.AppendScans(nil)
+	if !ok || len(got) != 2 {
+		t.Fatalf("AppendScans = %+v, want the two attached scans", got)
+	}
+	want := map[TableID]ScanPosition{
+		1: {Table: 1, Start: 0, End: 100, Origin: 0, Processed: 40, Speed: 40},
+		2: {Table: 2, Start: 10, End: 50, Origin: pl.Origin, Processed: 0, Speed: 10},
+	}
+	for _, sp := range got {
+		if sp != want[sp.Table] {
+			t.Errorf("table %d: got %+v, want %+v", sp.Table, sp, want[sp.Table])
+		}
+	}
+
+	if err := m.RejoinScan(c, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.EndScan(b, 2*time.Second); err != nil {
+		t.Fatal(err)
+	}
+	buf := make([]ScanPosition, 0, 4)
+	if buf, _ = m.AppendScans(buf); len(buf) != 2 {
+		t.Errorf("after rejoin and end: %d scans, want 2", len(buf))
+	}
+
+	// A busy manager is not waited for.
+	m.mu.Lock()
+	busy, ok := m.AppendScans(buf[:0])
+	m.mu.Unlock()
+	if ok || len(busy) != 0 {
+		t.Errorf("AppendScans on a busy manager = %d scans, %v; want none, false", len(busy), ok)
+	}
+
+	if heaptest.RaceEnabled {
+		return // the race detector changes allocation counts
+	}
+	if allocs := testing.AllocsPerRun(100, func() { buf, _ = m.AppendScans(buf[:0]) }); allocs != 0 {
+		t.Errorf("AppendScans allocates %v times, want 0", allocs)
+	}
+}
+
+// TestMoveOrigin: a scan can be re-placed before its first report — its
+// position follows the new origin — and not after; the origin must lie in
+// the scan's range.
+func TestMoveOrigin(t *testing.T) {
+	m := MustNewManager(DefaultConfig(1000))
+	id, _, err := m.StartScan(ScanOpts{Table: 1, TablePages: 100, StartPage: 10, EndPage: 90}, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []int{9, 90} {
+		if err := m.MoveOrigin(id, bad); err == nil {
+			t.Errorf("MoveOrigin(%d) outside [10,90) succeeded", bad)
+		}
+	}
+	if err := m.MoveOrigin(id+1, 50); err == nil {
+		t.Error("MoveOrigin of an unknown scan succeeded")
+	}
+	if err := m.MoveOrigin(id, 85); err != nil {
+		t.Fatal(err)
+	}
+	report(t, m, id, 8, time.Millisecond)
+	if pos := m.Snapshot().Scans[0].Position; pos != 13 {
+		t.Errorf("position after 8 pages from 85 in [10,90) = %d, want 13", pos)
+	}
+	if err := m.MoveOrigin(id, 50); err == nil {
+		t.Error("MoveOrigin after a progress report succeeded")
 	}
 }

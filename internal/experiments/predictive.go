@@ -1,45 +1,50 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"strings"
 	"time"
 
 	"scanshare"
 	"scanshare/internal/metrics"
+	"scanshare/internal/workload"
 )
 
 // PredictiveRun is one engine configuration's outcome in the A8 policy A/B:
 // the same seeded scan streams executed under one replacement policy and
 // coordination setting.
 type PredictiveRun struct {
-	Label     string
-	Policy    string
-	Wall      time.Duration
-	HitRatio  float64 // hits / pages read, from the run's collector
-	PagesRead int64
-	Misses    int64
-	Throttles int64
+	Label        string
+	Policy       string
+	Makespan     time.Duration
+	Reads        int64 // physical disk reads
+	Seeks        int64
+	LogicalReads int64   // pages the scans processed
+	HitRatio     float64 // pool hits / logical reads
+	Throttles    int64
 }
 
 // PredictiveResult compares priority-LRU under grouping+throttling against
-// predictive buffer management (A8) on identical seeded realtime streams.
+// predictive buffer management (A8) on identical seeded virtual-time
+// streams.
 type PredictiveResult struct {
 	Scans     int
 	Pages     int
 	PoolPages int
+	Stagger   time.Duration
 	Runs      []PredictiveRun
 }
 
-// PredictivePolicyAB (A8) runs the same seeded realtime scan streams three
-// ways: the paper's mechanism (priority-LRU pool steered by grouping,
-// throttling, and priority hints), predictive buffer management with all
-// coordination off (the follow-up paper's claim: position knowledge at the
-// pool replaces scan cooperation), and predictive with coordination kept on.
-// Each run builds a fresh engine with an identically seeded table and
-// identical scan specs, so hit ratios and end-to-end times are directly
-// comparable.
+// PredictivePolicyAB (A8) runs the same seeded scan streams three ways in
+// virtual time: the paper's mechanism (priority-LRU pool steered by
+// grouping, throttling, and priority hints), predictive buffer management
+// with all coordination off (the follow-up paper's claim: position knowledge
+// at the pool replaces scan cooperation), and predictive with coordination
+// kept on. Each run builds a fresh engine with an identically seeded table
+// and staggered full scans, so disk reads, seeks and makespan are exact and
+// directly comparable. The predictive pools read their scans from the
+// sharing manager, so every run is in Shared mode; "coordination off"
+// disables placement, throttling and priority hints, not the manager.
 func PredictivePolicyAB(p Params) (*PredictiveResult, error) {
 	rows := int(8000 * p.Scale)
 	// The table lands at ~rows/320 heap pages; size the pool to a quarter
@@ -48,6 +53,20 @@ func PredictivePolicyAB(p Params) (*PredictiveResult, error) {
 	poolPages := rows / 320 / 4
 	if poolPages < 12 {
 		poolPages = 12
+	}
+	build := func(policy string, sharing scanshare.SharingConfig) (*scanshare.Engine, *scanshare.Table, error) {
+		eng, err := scanshare.New(scanshare.Config{
+			BufferPoolPages: poolPages,
+			PoolPolicy:      policy,
+			Disk:            scanshare.DiskConfig{SeriesBucket: p.BucketWidth},
+			CPU:             scanshare.CPUConfig{Cores: p.Cores},
+			Sharing:         sharing,
+		})
+		if err != nil {
+			return nil, nil, err
+		}
+		tbl, err := loadSyntheticTable(eng, rows, p.Seed)
+		return eng, tbl, err
 	}
 
 	type variant struct {
@@ -66,48 +85,39 @@ func PredictivePolicyAB(p Params) (*PredictiveResult, error) {
 		{"predictive + grouping/throttling", scanshare.PoolPolicyPredictive, base},
 	}
 
-	res := &PredictiveResult{Scans: p.Streams, PoolPages: poolPages}
-	for _, v := range variants {
-		eng, err := scanshare.New(scanshare.Config{
-			BufferPoolPages: poolPages,
-			PoolPolicy:      v.policy,
-			Sharing:         v.sharing,
-		})
-		if err != nil {
-			return nil, err
-		}
-		tbl, err := loadSyntheticTable(eng, rows, p.Seed)
-		if err != nil {
-			return nil, err
-		}
-		res.Pages = tbl.NumPages()
+	// Calibration: one cold scan sizes the stagger interval, as in the
+	// staggered-query experiments.
+	eng, tbl, err := build(scanshare.PoolPolicyLRU, base)
+	if err != nil {
+		return nil, err
+	}
+	cold, err := eng.Run(scanshare.Baseline, []scanshare.Job{{Query: scanshare.NewQuery(tbl)}})
+	if err != nil {
+		return nil, err
+	}
+	res := &PredictiveResult{
+		Scans: p.Streams, Pages: tbl.NumPages(), PoolPages: poolPages,
+		Stagger: time.Duration(p.StaggerFrac * float64(cold.Results[0].Elapsed())),
+	}
 
-		scans := make([]scanshare.RealtimeScan, p.Streams)
-		estDur := time.Duration(tbl.NumPages()) * 200 * time.Microsecond
-		for i := range scans {
-			scans[i] = scanshare.RealtimeScan{
-				Table:             tbl,
-				EstimatedDuration: estDur,
-				StartDelay:        time.Duration(i) * 2 * time.Millisecond,
-				PageDelay:         120 * time.Microsecond,
-			}
+	for _, v := range variants {
+		eng, tbl, err := build(v.policy, v.sharing)
+		if err != nil {
+			return nil, err
 		}
-		rep, err := eng.RunRealtime(context.Background(), scanshare.RealtimeOptions{
-			PrefetchWorkers: 2,
-			PageReadDelay:   300 * time.Microsecond,
-		}, scans)
+		rep, err := eng.Run(scanshare.Shared, workload.StaggeredJobs(scanshare.NewQuery(tbl), p.Streams, res.Stagger))
 		if err != nil {
 			return nil, fmt.Errorf("A8 %s: %w", v.label, err)
 		}
-		cs := rep.Counters
 		res.Runs = append(res.Runs, PredictiveRun{
-			Label:     v.label,
-			Policy:    v.policy,
-			Wall:      rep.Wall,
-			HitRatio:  cs.HitRatio(),
-			PagesRead: cs.PagesRead,
-			Misses:    cs.Misses,
-			Throttles: cs.ThrottleEvents,
+			Label:        v.label,
+			Policy:       v.policy,
+			Makespan:     rep.Makespan,
+			Reads:        rep.Disk.Reads,
+			Seeks:        rep.Disk.Seeks,
+			LogicalReads: rep.Pool.LogicalReads,
+			HitRatio:     rep.Pool.HitRatio(),
+			Throttles:    rep.Sharing.ThrottleEvents,
 		})
 	}
 	return res, nil
@@ -151,16 +161,14 @@ func loadSyntheticTable(eng *scanshare.Engine, rows int, seed int64) (*scanshare
 func (r *PredictiveResult) Render() string {
 	var b strings.Builder
 	b.WriteString("A8 — replacement policy A/B: predictive buffer management vs grouping+throttling\n")
-	fmt.Fprintf(&b, "%d scans over %d pages, pool %d pages; identical seeded streams per run\n",
-		r.Scans, r.Pages, r.PoolPages)
-	tbl := metrics.NewTable("configuration", "end-to-end", "hit ratio", "pages read", "misses", "throttles")
+	fmt.Fprintf(&b, "%d full scans %v apart over %d pages, pool %d pages; identical seeded streams per run (virtual time)\n",
+		r.Scans, r.Stagger, r.Pages, r.PoolPages)
+	tbl := metrics.NewTable("configuration", "makespan", "disk reads", "seeks", "hit ratio", "throttles")
 	for _, run := range r.Runs {
-		tbl.AddRow(run.Label, metrics.FormatDuration(run.Wall),
-			fmt.Sprintf("%.1f%%", 100*run.HitRatio),
-			fmt.Sprint(run.PagesRead), fmt.Sprint(run.Misses), fmt.Sprint(run.Throttles))
+		tbl.AddRow(run.Label, metrics.FormatDuration(run.Makespan),
+			fmt.Sprint(run.Reads), fmt.Sprint(run.Seeks),
+			fmt.Sprintf("%.1f%%", 100*run.HitRatio), fmt.Sprint(run.Throttles))
 	}
 	b.WriteString(tbl.Render())
-	b.WriteString("wall-clock rows depend on the machine; the hit-ratio column is the\n")
-	b.WriteString("structural signal (predictive should hold locality without hints)\n")
 	return b.String()
 }

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -81,25 +82,34 @@ func TestShapePlacementPolicies(t *testing.T) {
 	}
 }
 
-// A8: three policy variants over identical seeded streams. Wall-clock and
-// miss counts are timing-dependent in realtime mode, so assert structure
-// only: every variant processes the same logical pages, and hit ratios are
-// sane.
+// A8: three policy variants over identical seeded streams in virtual time.
+// The runs are exact, so two seeded runs must agree to the last read, and
+// every variant must process the same logical pages.
 func TestShapePredictivePolicyAB(t *testing.T) {
 	r, err := PredictivePolicyAB(TestParams())
 	if err != nil {
 		t.Fatal(err)
+	}
+	again, err := PredictivePolicyAB(TestParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(r, again) {
+		t.Errorf("two seeded runs differ:\n%+v\n%+v", r.Runs, again.Runs)
 	}
 	if len(r.Runs) != 3 {
 		t.Fatalf("got %d runs, want 3", len(r.Runs))
 	}
 	wantPages := int64(r.Scans * r.Pages)
 	for _, run := range r.Runs {
-		if run.PagesRead != wantPages {
-			t.Errorf("%s: read %d logical pages, want %d", run.Label, run.PagesRead, wantPages)
+		if run.LogicalReads != wantPages {
+			t.Errorf("%s: read %d logical pages, want %d", run.Label, run.LogicalReads, wantPages)
 		}
 		if run.HitRatio <= 0 || run.HitRatio > 1 {
 			t.Errorf("%s: hit ratio %.3f out of range", run.Label, run.HitRatio)
+		}
+		if run.Reads <= 0 || run.Makespan <= 0 {
+			t.Errorf("%s: %d disk reads in %v", run.Label, run.Reads, run.Makespan)
 		}
 	}
 	if r.Runs[0].Policy != "priority-lru" || r.Runs[1].Policy != "predictive" {

@@ -40,11 +40,6 @@ type Collector struct {
 	readsCoalesced    atomic.Int64
 	coalescedFailures atomic.Int64
 
-	// Per-policy scan feed: registrations of scan footprints with a
-	// scan-aware buffer pool and the position/speed updates that follow.
-	feedRegistrations atomic.Int64
-	feedUpdates       atomic.Int64
-
 	// Push-delivery mode: batches accepted by subscribers, reader stalls
 	// on full subscriber channels, subscribers demoted to self-pulling
 	// after exhausting their stall budget, and folds into a shared
@@ -99,9 +94,6 @@ type CollectorStats struct {
 
 	ReadsCoalesced    int64 // misses that joined another caller's in-flight read instead of duplicating the I/O
 	CoalescedFailures int64 // coalesced waits that ended in the leader's read error
-
-	FeedRegistrations int64 // scan footprints registered with a scan-aware (predictive) pool
-	FeedUpdates       int64 // position/speed samples fed to a scan-aware pool
 
 	BatchesPushed    int64 // page batches accepted by push-delivery subscribers
 	SubscriberStalls int64 // push reader blocks on a full subscriber channel
@@ -271,13 +263,6 @@ func (c *Collector) ReadCoalesced() { c.readsCoalesced.Add(1) }
 // read's error propagated to the waiter.
 func (c *Collector) CoalescedFailure() { c.coalescedFailures.Add(1) }
 
-// ScanFeedRegistered records a scan footprint registered with a scan-aware
-// buffer pool (the predictive replacement policy).
-func (c *Collector) ScanFeedRegistered() { c.feedRegistrations.Add(1) }
-
-// ScanFeedUpdated records one position/speed sample fed to a scan-aware pool.
-func (c *Collector) ScanFeedUpdated() { c.feedUpdates.Add(1) }
-
 // BatchPushed records one page batch accepted by a push-delivery subscriber.
 func (c *Collector) BatchPushed() { c.batchesPushed.Add(1) }
 
@@ -320,7 +305,6 @@ func (c *Collector) Reset() {
 		&c.readRetries, &c.readTimeouts, &c.pagesFailed,
 		&c.scanDetaches, &c.scanRejoins,
 		&c.readsCoalesced, &c.coalescedFailures,
-		&c.feedRegistrations, &c.feedUpdates,
 		&c.batchesPushed, &c.subscriberStalls, &c.pushDemotions, &c.sharedAggFolds,
 		&c.traceDropped,
 	} {
@@ -359,8 +343,6 @@ func (c *Collector) Snapshot() CollectorStats {
 		ScanRejoins:        c.scanRejoins.Load(),
 		ReadsCoalesced:     c.readsCoalesced.Load(),
 		CoalescedFailures:  c.coalescedFailures.Load(),
-		FeedRegistrations:  c.feedRegistrations.Load(),
-		FeedUpdates:        c.feedUpdates.Load(),
 		BatchesPushed:      c.batchesPushed.Load(),
 		SubscriberStalls:   c.subscriberStalls.Load(),
 		PushDemotions:      c.pushDemotions.Load(),

@@ -97,6 +97,7 @@ func chaosScriptXlate(t *testing.T, policy, translation string, prefetch int) st
 		}
 	}
 	specs[3].StartPage, specs[3].EndPage = 10, 90
+	attachScans(pool, mgr, specs)
 
 	results, err := r.Run(context.Background(), specs)
 	if err != nil {

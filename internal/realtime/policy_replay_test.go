@@ -4,19 +4,57 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 
 	"scanshare/internal/buffer"
+	"scanshare/internal/core"
+	"scanshare/internal/disk"
 )
+
+// specScans is the scan source the engine gives a predictive pool, built
+// from run specs: the manager's scans, anchored in device page space at each
+// table's page 0.
+type specScans struct {
+	mgr   *core.Manager
+	mu    sync.Mutex
+	first map[core.TableID]disk.PageID
+	buf   []core.ScanPosition
+}
+
+// attachScans makes mgr the scan source of pool for the tables of specs.
+func attachScans(pool *buffer.Pool, mgr *core.Manager, specs []ScanSpec) {
+	s := &specScans{mgr: mgr, first: make(map[core.TableID]disk.PageID)}
+	for _, spec := range specs {
+		s.first[spec.Table] = spec.PageID(0)
+	}
+	pool.SetScanSource(s)
+}
+
+func (s *specScans) AppendScans(dst []buffer.ScanState) []buffer.ScanState {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if buf, ok := s.mgr.AppendScans(s.buf[:0]); ok {
+		s.buf = buf
+	}
+	for _, sp := range s.buf {
+		dst = append(dst, buffer.ScanState{
+			Footprint: buffer.ScanFootprint{Base: s.first[sp.Table], Start: sp.Start, End: sp.End, Origin: sp.Origin},
+			Processed: sp.Processed,
+			Speed:     sp.Speed,
+		})
+	}
+	return dst
+}
 
 // TestPolicyReplayDeterminism is the replay-determinism regression test for
 // the replacement policies: two runs of the seeded chaos script must render
 // byte-identical trace journals under every policy. Priority-LRU is fully
 // deterministic by construction; the predictive policy must be too, because
-// its only nondeterministic ingredient — scan-table map iteration — is
-// neutralized by an order-independent estimator and a strict-max victim
-// walk. A diff here means a policy let scheduling or map order leak into
-// eviction decisions.
+// its only nondeterministic ingredient — the manager's map iteration when
+// the pool reads its scans — is neutralized by an order-independent
+// estimator and a strict-max victim walk. A diff here means a policy let
+// scheduling or map order leak into eviction decisions.
 func TestPolicyReplayDeterminism(t *testing.T) {
 	for _, policy := range buffer.Policies() {
 		policy := policy

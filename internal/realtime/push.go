@@ -127,7 +127,8 @@ type pushHub struct {
 }
 
 // subscribe registers a consumer and makes sure a reader serves it. origin
-// seeds the stream position when this subscription (re)starts the reader.
+// seeds the stream position when this subscription (re)starts the reader;
+// otherwise the subscriber joins wherever the stream is at admission.
 func (h *pushHub) subscribe(scan int, id core.ScanID, span trace.SpanContext, start, end, origin int, stallBudget time.Duration) *pushSub {
 	s := &pushSub{
 		scan: scan, id: id, start: start, end: end,
@@ -229,10 +230,19 @@ func (h *pushHub) pruneLocked() {
 }
 
 // admitLocked moves pending subscriptions into the live set at the current
-// batch boundary; the stream position becomes their catch-up cursor.
+// batch boundary; the stream position becomes their catch-up cursor. The
+// manager placed each subscriber at its group's last reported position, which
+// the stream may be up to a queue of batches past, so it is told where the
+// subscriber really begins — before its first report, since no page reaches
+// it before admission. That fails only for a scan that already ended.
 func (h *pushHub) admitLocked() {
 	for _, s := range h.pending {
 		s.cursor = h.pos
+		origin := h.pos
+		if origin < s.start || origin >= s.end {
+			origin = s.start // the first footprint page the stream reaches
+		}
+		_ = h.r.cfg.Manager.MoveOrigin(s.id, origin)
 		h.subs = append(h.subs, s)
 		h.r.cfg.Tracer.Emit(trace.Event{
 			Kind: trace.KindSubscribe, Scan: int64(s.id), Table: int64(h.table),
@@ -535,7 +545,8 @@ func (r *Runner) pushStallBudget(spec ScanSpec, length int) time.Duration {
 // lifecycle as a pull scan, with the fetch loop replaced by batch
 // consumption. Flow control replaces throttling, so advice is settled at
 // once as a wait of zero: it costs the fairness budget and Stats.ThrottleTime
-// nothing. Progress reports still feed grouping, traces and the pool.
+// nothing. Progress reports still feed grouping and traces, and through the
+// manager the predictive pool.
 func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *pushHub, res *ScanResult) {
 	cfg := &r.cfg
 	hook := func(site Site) {
@@ -578,7 +589,6 @@ func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *p
 		if cfg.OnAdvice != nil {
 			cfg.OnAdvice(idx, processed, adv)
 		}
-		r.feedProgress(&l)
 		next := adv.NextReportPages
 		if next <= 0 {
 			next = interval

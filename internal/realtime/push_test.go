@@ -393,3 +393,96 @@ func TestPushSettlesIgnoredThrottle(t *testing.T) {
 			st.ThrottleTime, st.ThrottleEvents)
 	}
 }
+
+// TestPushJoinerReportsAdmittedPosition: a subscriber that joins a live
+// stream is admitted wherever the stream is, which can be a queue of
+// batches past the position the manager placed it at. The manager must
+// track the position the subscriber really has: at each of its progress
+// reports, the joiner's Snapshot position is the page after the last one it
+// was handed.
+func TestPushJoinerReportsAdmittedPosition(t *testing.T) {
+	const (
+		tablePages, poolPages = 400, 512
+		leader, joiner        = 0, 1
+	)
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	joinerStarted := make(chan struct{})
+	markJoiner := sync.OnceFunc(func() { close(joinerStarted) })
+	// report is what the joiner had been handed at one of its progress
+	// reports, and what the manager said of every scan right after it.
+	type report struct {
+		last  int // the last page handed to the joiner
+		scans []core.ScanInfo
+	}
+	var (
+		mgr         *core.Manager
+		first, last = -1, -1
+		reports     []report
+	)
+	r, _, _ := pushTestRunner(t, poolPages, func(cfg *Config) {
+		mgr = cfg.Manager
+		cfg.Hook = func(scan int, site Site) {
+			if scan == joiner && site == SiteStarted {
+				markJoiner()
+			}
+		}
+		cfg.OnAdvice = func(scan, processed int, adv core.Advice) {
+			if scan == joiner {
+				reports = append(reports, report{last: last, scans: mgr.Snapshot().Scans})
+			}
+		}
+	})
+	specs := make([]ScanSpec, 2)
+	for i := range specs {
+		specs[i] = ScanSpec{
+			Table:             1,
+			TablePages:        tablePages,
+			PageID:            func(pageNo int) disk.PageID { return disk.PageID(pageNo) },
+			EstimatedDuration: 10 * time.Minute,
+		}
+	}
+	// The leader holds its page 20 until the joiner has registered and had
+	// time to subscribe; meanwhile the reader fills the leader's queue,
+	// so the stream is well past the leader's last report (page 16).
+	specs[leader].OnPage = func(pageNo int, _ []byte) {
+		if pageNo != 20 {
+			return
+		}
+		select {
+		case <-joinerStarted:
+			time.Sleep(2 * time.Millisecond)
+		case <-ctx.Done():
+		}
+	}
+	specs[joiner].StartDelay = time.Millisecond
+	specs[joiner].OnPage = func(pageNo int, _ []byte) {
+		if first < 0 {
+			first = pageNo
+		}
+		last = pageNo
+	}
+
+	results, err := r.Run(ctx, specs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i, res := range results {
+		if res.PagesRead != tablePages || res.PushDemoted {
+			t.Fatalf("scan %d: %d pages, demoted %v", i, res.PagesRead, res.PushDemoted)
+		}
+	}
+	if len(reports) == 0 {
+		t.Fatal("the joiner never reported")
+	}
+	if first == results[joiner].Placement.Origin {
+		t.Fatalf("the joiner was admitted at its placement, page %d; the stream was never ahead of it", first)
+	}
+	for _, rep := range reports {
+		for _, si := range rep.scans {
+			if si.ID == results[joiner].ID && si.Position != (rep.last+1)%tablePages {
+				t.Errorf("after %d pages: manager position %d, last page handed %d", si.Processed, si.Position, rep.last)
+			}
+		}
+	}
+}

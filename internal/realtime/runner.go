@@ -87,23 +87,20 @@ func (r *Runner) runPull(ctx context.Context, specs []ScanSpec) []ScanResult {
 	return results
 }
 
-// scanLife is one scan's registration with the manager, the tracer and the
-// pool, from beginScan to endScan, plus the range it covers.
+// scanLife is one scan's registration with the manager and the tracer,
+// from beginScan to endScan, plus the range it covers.
 type scanLife struct {
-	id       core.ScanID
-	pl       core.Placement
-	span     trace.Span
-	sc       trace.SpanContext
-	feedPool bool // the pool is scan-aware and follows this scan
+	id   core.ScanID
+	pl   core.Placement
+	span trace.Span
+	sc   trace.SpanContext
 	// end is the exclusive end page; the scan covers length pages from
 	// the placement's origin and stops after limit of them.
 	end, length, limit int
 }
 
 // beginScan waits out the scan's start delay, then registers it: a manager
-// scan, a scan span, and for a scan-aware pool (predictive policy) the
-// footprint and initial speed estimate, which progress reports keep
-// current. It reports false, with res saying why, when the scan must not
+// scan and a scan span. It reports false, with res saying why, when the scan must not
 // run; otherwise the caller must call endScan.
 func (r *Runner) beginScan(ctx context.Context, idx int, spec ScanSpec, hook func(Site), res *ScanResult) (l scanLife, ok bool) {
 	cfg := &r.cfg
@@ -146,19 +143,6 @@ func (r *Runner) beginScan(ctx context.Context, idx int, spec ScanSpec, hook fun
 	l.span = cfg.Tracer.OpenSpan(spec.Span, trace.SpanScan, int64(id), int64(spec.Table))
 	l.sc = l.span.Context()
 
-	// Every store in the engine lays table pages out contiguously, so the
-	// device page of table-relative page 0 anchors the footprint.
-	if l.feedPool = cfg.Pool.ScanAware(); l.feedPool {
-		base := spec.PageID(spec.StartPage) - disk.PageID(spec.StartPage)
-		var seed float64
-		if f, ok := cfg.Manager.ScanFeed(id); ok {
-			seed = f.SpeedPagesSec
-		}
-		cfg.Pool.RegisterScan(int64(id), buffer.ScanFootprint{
-			Base: base, Start: spec.StartPage, End: l.end, Origin: pl.Origin,
-		}, seed)
-		cfg.Collector.ScanFeedRegistered()
-	}
 	if spec.StopAfterPages > 0 && spec.StopAfterPages < l.length {
 		l.limit = spec.StopAfterPages
 		res.Stopped = true
@@ -171,7 +155,6 @@ func (r *Runner) beginScan(ctx context.Context, idx int, spec ScanSpec, hook fun
 // decisions for every later scan of the table.
 func (r *Runner) endScan(l *scanLife, hook func(Site), res *ScanResult) {
 	cfg := &r.cfg
-	cfg.Pool.UnregisterScan(int64(l.id))
 	hook(SiteEndScan)
 	if err := cfg.Manager.EndScan(l.id, cfg.Env.Now()); err != nil && res.Err == nil {
 		res.Err = err
@@ -180,18 +163,6 @@ func (r *Runner) endScan(l *scanLife, hook func(Site), res *ScanResult) {
 	cfg.Collector.ScanEnded(res.Stopped)
 	res.Done = cfg.Env.Now()
 	l.span.Close()
-}
-
-// feedProgress tells a scan-aware pool what the manager now knows of the
-// scan's position and speed.
-func (r *Runner) feedProgress(l *scanLife) {
-	if !l.feedPool {
-		return
-	}
-	if f, ok := r.cfg.Manager.ScanFeed(l.id); ok {
-		r.cfg.Pool.UpdateScan(int64(l.id), f.Processed, f.SpeedPagesSec)
-		r.cfg.Collector.ScanFeedUpdated()
-	}
 }
 
 // runScan is the body of one scan worker.
@@ -278,7 +249,6 @@ func (r *Runner) runScan(ctx context.Context, idx int, spec ScanSpec, pf *prefet
 			if cfg.OnAdvice != nil {
 				cfg.OnAdvice(idx, done, adv)
 			}
-			r.feedProgress(&l)
 			prio = adv.Priority
 			next := adv.NextReportPages
 			if next <= 0 {
@@ -542,9 +512,6 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 				if rerr != nil && res.Err == nil {
 					res.Err = rerr
 				}
-				if cfg.Pool.ScanAware() {
-					cfg.Pool.SetScanActive(int64(id), true)
-				}
 				cfg.Collector.ScanRejoined()
 				res.Rejoins++
 			}
@@ -566,11 +533,6 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 			hook(SiteDetached)
 			if derr != nil && res.Err == nil {
 				res.Err = derr
-			}
-			if cfg.Pool.ScanAware() {
-				// A detached scan's reports stop; its stale position
-				// must not keep protecting pages.
-				cfg.Pool.SetScanActive(int64(id), false)
 			}
 			cfg.Collector.ScanDetached()
 			res.Detaches++

@@ -72,8 +72,6 @@ func WriteMetrics(w io.Writer, src Sources) {
 	counter("scanshare_pages_failed_total", "Pages declared failed after exhausting retries.", cs.PagesFailed)
 	counter("scanshare_scan_detaches_total", "Scans detached from group coordination.", cs.ScanDetaches)
 	counter("scanshare_scan_rejoins_total", "Detached scans re-admitted.", cs.ScanRejoins)
-	counter("scanshare_scan_feed_registrations_total", "Scan footprints registered with a scan-aware (predictive) pool.", cs.FeedRegistrations)
-	counter("scanshare_scan_feed_updates_total", "Position/speed samples fed to a scan-aware pool.", cs.FeedUpdates)
 	counter("scanshare_batches_pushed_total", "Page batches accepted by push-delivery subscribers.", cs.BatchesPushed)
 	counter("scanshare_subscriber_stalls_total", "Push reader blocks on a full subscriber channel.", cs.SubscriberStalls)
 	counter("scanshare_push_demotions_total", "Subscribers demoted to self-pulling after exhausting the stall budget.", cs.PushDemotions)

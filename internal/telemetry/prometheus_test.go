@@ -45,9 +45,6 @@ func goldenSources() Sources {
 	col.ReadCoalesced()
 	col.ScanDetached()
 	col.ScanRejoined()
-	col.ScanFeedRegistered()
-	col.ScanFeedUpdated()
-	col.ScanFeedUpdated()
 
 	mainStats := buffer.Stats{LogicalReads: 100, Hits: 60, Misses: 40, Evictions: 12}
 	mainStats.EvictionsByPr[buffer.PriorityEvict] = 9

@@ -54,7 +54,8 @@ const (
 	PoolPolicyLRU = buffer.PolicyLRU
 	// PoolPolicyPredictive is predictive buffer management: the victim is
 	// the frame with the largest estimated time to next use, computed
-	// from registered scan positions and speeds.
+	// from the positions and speeds of the scans the pool's sharing
+	// manager tracks.
 	PoolPolicyPredictive = buffer.PolicyPredictive
 )
 
@@ -288,11 +289,11 @@ type Config struct {
 	PoolShards int
 	// PoolPolicy selects the buffer pools' replacement policy:
 	// PoolPolicyLRU (the paper's priority-LRU, the default when empty) or
-	// PoolPolicyPredictive (predictive buffer management: realtime scans
-	// register position and speed with the pool and the victim is the
-	// frame with the largest estimated time to next use). The predictive
-	// policy only receives scan registrations under RunRealtime; in
-	// virtual-time Run it degenerates to plain LRU on release order.
+	// PoolPolicyPredictive (predictive buffer management: the pool reads
+	// the position and speed of every scan its sharing manager tracks —
+	// Shared-mode and realtime scans; Baseline scans bypass the manager —
+	// and the victim is the frame with the largest estimated time to next
+	// use).
 	PoolPolicy string
 	// PoolTranslation selects the buffer pools' page-translation
 	// structure: PoolTranslationMap (the classic mutex-guarded per-shard

@@ -49,9 +49,10 @@ test:
 # GOMAXPROCS — shard, wake-up, singleflight, push hand-off, admission and
 # span-ring races surface at different parallelism levels: the lock-striped
 # pool and its optimistic-read proofs (torn reads, linearizability), the
-# manager's park/wake protocol, the runner with its replay, chaos, push and
-# span suites, the service, the shared-aggregation consumers, the trace ring,
-# and the root package's span and aggregation runs. See CONCURRENCY.md for the
+# manager's park/wake protocol, the collectors' indexed atomic counters, the
+# runner with its replay, chaos, push and span suites, the service, the
+# shared-aggregation consumers, the trace ring, and the root package's span
+# and aggregation runs. See CONCURRENCY.md for the
 # deterministic seed-replay environment used to debug anything this finds.
 # The experiments run in virtual time, where sim.Kernel's processes are
 # coroutines that hand control to each other directly: the detector has no
@@ -60,7 +61,7 @@ test:
 race:
 	$(GO) test -race -short -timeout 30m ./internal/experiments
 	$(GO) test -race -count=2 -timeout 30m $$($(GO) list ./internal/... | grep -v '/internal/experiments$$')
-	$(GO) test -race -cpu 2,8 ./internal/buffer ./internal/core ./internal/realtime ./internal/telemetry ./internal/server ./internal/exec ./internal/trace
+	$(GO) test -race -cpu 2,8 ./internal/buffer ./internal/core ./internal/metrics ./internal/realtime ./internal/telemetry ./internal/server ./internal/exec ./internal/trace
 	$(GO) test -race -cpu 2,8 -run 'TestSpan|TestRunRealtimeAggregates' .
 
 # Short coverage-guided fuzz passes: the SQL parser, the buffer pool's

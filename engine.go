@@ -702,17 +702,8 @@ func (e *Engine) report(mode Mode, results []QueryResult, runStart, end time.Dur
 	for name, rt := range e.pools {
 		delta := poolDeltaShards(rt.pool.ShardStats(), poolsBefore[name])
 		r.Pools[name] = delta
-		r.Pool.LogicalReads += delta.LogicalReads
-		r.Pool.Hits += delta.Hits
-		r.Pool.Misses += delta.Misses
-		r.Pool.Aborts += delta.Aborts
-		r.Pool.BusyRetries += delta.BusyRetries
-		r.Pool.AllPinned += delta.AllPinned
-		r.Pool.Evictions += delta.Evictions
-		for i := range delta.EvictionsByPriority {
-			r.Pool.EvictionsByPriority[i] += delta.EvictionsByPriority[i]
-		}
-		r.Sharing = r.Sharing.add(sharingStats(rt.ssm.Stats()))
+		r.Pool.Add(delta.Stats)
+		r.Sharing.Add(rt.ssm.Stats())
 	}
 	for _, s := range e.dev.Series() {
 		if s.Bucket >= runStart && s.Bucket <= end {

@@ -118,8 +118,8 @@ func TestPoolEmitsEvictionTraceEvents(t *testing.T) {
 	if ev.Kind != trace.KindEvict || ev.Page != 1 || Priority(ev.Prio) != PriorityLow {
 		t.Errorf("eviction event = %+v, want page 1 at low priority", ev)
 	}
-	if s := p.Stats(); s.EvictionsByPr[PriorityLow] != 1 {
-		t.Errorf("EvictionsByPr = %v, want one low-priority eviction", s.EvictionsByPr)
+	if s := p.Stats(); s.EvictionsByPriority[PriorityLow] != 1 {
+		t.Errorf("EvictionsByPriority = %v, want one low-priority eviction", s.EvictionsByPriority)
 	}
 	if err := tr.Close(); err != nil {
 		t.Fatalf("tracer close: %v", err)

@@ -107,7 +107,7 @@ func BenchmarkPoolAcquireHitParallel(b *testing.B) {
 				b.StopTimer()
 				pool.CheckInvariants()
 				st := pool.Stats()
-				if translation == TranslationArray && st.OptHits == 0 {
+				if translation == TranslationArray && st.OptimisticHits == 0 {
 					b.Fatal("array benchmark never took the optimistic path")
 				}
 			})

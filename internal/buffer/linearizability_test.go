@@ -153,14 +153,14 @@ func TestOptimisticTornReads(t *testing.T) {
 	pool.CheckInvariants()
 
 	st := pool.Stats()
-	if st.OptHits == 0 {
+	if st.OptimisticHits == 0 {
 		t.Fatal("the detector never exercised the optimistic path")
 	}
 	if st.Evictions == 0 {
 		t.Fatal("the detector never recycled a frame; nothing was at risk")
 	}
 	t.Logf("torn-read detector: %d optimistic hits, %d retries, %d fallbacks, %d evictions",
-		st.OptHits, st.OptRetries, st.OptFallbacks, st.Evictions)
+		st.OptimisticHits, st.OptimisticRetries, st.OptimisticFallbacks, st.Evictions)
 }
 
 // linVersion is one (pid, generation) lifetime in the linearizability
@@ -342,5 +342,5 @@ func TestOptimisticLinearizability(t *testing.T) {
 		t.Fatal("no version was ever retired; the history was never at risk")
 	}
 	t.Logf("linearizability: %d reads checked (%d optimistic hits, %d retries, %d fallbacks), %d retirements",
-		checked.Load(), st.OptHits, st.OptRetries, st.OptFallbacks, st.Evictions)
+		checked.Load(), st.OptimisticHits, st.OptimisticRetries, st.OptimisticFallbacks, st.Evictions)
 }

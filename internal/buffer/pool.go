@@ -137,42 +137,53 @@ func (s Status) Err() error {
 
 // Stats is a snapshot of the pool counters. For a sharded pool it is the sum
 // of exact per-shard snapshots (each shard's counters are mutated under that
-// shard's mutex, so every summand is internally consistent).
+// shard's mutex, so every summand is internally consistent). The JSON tags
+// keep the short keys that telemetry samples and flight records carry.
 type Stats struct {
-	LogicalReads  int64 // Acquire calls that returned Hit or Miss, plus optimistic hits
-	Hits          int64 // includes OptHits: every hit, locked or lock-free
-	Misses        int64
-	Aborts        int64 // misses whose physical read failed (Abort), never delivered
-	Fills         int64 // misses completed by Fill
-	BusyRetries   int64 // Acquire calls that returned Busy
-	AllPinned     int64 // Acquire calls that returned AllPinned
-	Evictions     int64
-	EvictionsByPr [numPriorities]int64
+	LogicalReads        int64 // Acquire calls that returned Hit or Miss, plus optimistic hits
+	Hits                int64 // includes OptimisticHits: every hit, locked or lock-free
+	Misses              int64
+	Aborts              int64 // misses whose physical read failed (Abort), never delivered
+	Fills               int64 // misses completed by Fill
+	BusyRetries         int64 // Acquire calls that returned Busy
+	AllPinned           int64 // Acquire calls that returned AllPinned
+	Evictions           int64
+	EvictionsByPriority [numPriorities]int64 `json:"EvictionsByPr"`
 	// Optimistic read-path counters (always zero under map translation).
-	// OptHits is the lock-free subset of Hits; OptRetries counts validation
-	// failures that re-ran the optimistic loop; OptFallbacks counts
-	// ReadOptimistic calls that gave up and sent the caller to Acquire.
-	OptHits      int64
-	OptRetries   int64
-	OptFallbacks int64
+	// OptimisticHits is the lock-free subset of Hits; OptimisticRetries
+	// counts validation failures that re-ran the optimistic loop;
+	// OptimisticFallbacks counts ReadOptimistic calls that gave up and sent
+	// the caller to Acquire.
+	OptimisticHits      int64 `json:"OptHits"`
+	OptimisticRetries   int64 `json:"OptRetries"`
+	OptimisticFallbacks int64 `json:"OptFallbacks"`
 }
 
 // Add accumulates o into s, for aggregating per-shard snapshots.
-func (s *Stats) Add(o Stats) {
-	s.LogicalReads += o.LogicalReads
-	s.Hits += o.Hits
-	s.Misses += o.Misses
-	s.Aborts += o.Aborts
-	s.Fills += o.Fills
-	s.BusyRetries += o.BusyRetries
-	s.AllPinned += o.AllPinned
-	s.Evictions += o.Evictions
-	for i := range s.EvictionsByPr {
-		s.EvictionsByPr[i] += o.EvictionsByPr[i]
+func (s *Stats) Add(o Stats) { s.addScaled(o, 1) }
+
+// Sub returns s - o: the activity between an earlier snapshot o and s.
+func (s Stats) Sub(o Stats) Stats {
+	s.addScaled(o, -1)
+	return s
+}
+
+// addScaled adds k×o to s, field by field.
+func (s *Stats) addScaled(o Stats, k int64) {
+	s.LogicalReads += k * o.LogicalReads
+	s.Hits += k * o.Hits
+	s.Misses += k * o.Misses
+	s.Aborts += k * o.Aborts
+	s.Fills += k * o.Fills
+	s.BusyRetries += k * o.BusyRetries
+	s.AllPinned += k * o.AllPinned
+	s.Evictions += k * o.Evictions
+	for i := range s.EvictionsByPriority {
+		s.EvictionsByPriority[i] += k * o.EvictionsByPriority[i]
 	}
-	s.OptHits += o.OptHits
-	s.OptRetries += o.OptRetries
-	s.OptFallbacks += o.OptFallbacks
+	s.OptimisticHits += k * o.OptimisticHits
+	s.OptimisticRetries += k * o.OptimisticRetries
+	s.OptimisticFallbacks += k * o.OptimisticFallbacks
 }
 
 // PagesDelivered returns the number of Acquire calls that actually put page
@@ -703,7 +714,7 @@ func (s *shard) evictLocked() bool {
 	s.unlinkLocked(victim)
 	s.resident.Add(-1)
 	s.stats.Evictions++
-	s.stats.EvictionsByPr[victim.prio]++
+	s.stats.EvictionsByPriority[victim.prio]++
 	s.tracer.Load().Emit(trace.Event{
 		Kind: trace.KindEvict, Page: int64(pid), Prio: int8(victim.prio),
 		Scan: trace.NoID, Peer: trace.NoID, Table: trace.NoID,
@@ -849,9 +860,9 @@ func (p *Pool) Stats() Stats {
 func (s *shard) snapshotLocked() Stats {
 	out := s.stats
 	oh := s.optHits.Load()
-	out.OptHits = oh
-	out.OptRetries = s.optRetries.Load()
-	out.OptFallbacks = s.optFallbacks.Load()
+	out.OptimisticHits = oh
+	out.OptimisticRetries = s.optRetries.Load()
+	out.OptimisticFallbacks = s.optFallbacks.Load()
 	out.Hits += oh
 	out.LogicalReads += oh
 	return out

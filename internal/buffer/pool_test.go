@@ -100,7 +100,7 @@ func TestEvictionPrefersLowerPriority(t *testing.T) {
 		t.Error("higher-priority pages were evicted")
 	}
 	s := p.Stats()
-	if s.EvictionsByPr[PriorityEvict] != 1 || s.Evictions != 1 {
+	if s.EvictionsByPriority[PriorityEvict] != 1 || s.Evictions != 1 {
 		t.Errorf("eviction accounting wrong: %+v", s)
 	}
 }

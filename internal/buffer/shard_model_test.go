@@ -247,7 +247,7 @@ func (m *modelShard) evict() bool {
 	delete(m.frames, pid)
 	delete(m.touched, pid)
 	m.stats.Evictions++
-	m.stats.EvictionsByPr[prio]++
+	m.stats.EvictionsByPriority[prio]++
 	return true
 }
 
@@ -349,15 +349,15 @@ func (x *modelXlate) reserve(pid disk.PageID) {
 // counters.
 func (m *modelShard) readOptimistic(pid disk.PageID, x *modelXlate) bool {
 	if !modelInRange(pid) || int(pid) >= x.covered {
-		m.stats.OptFallbacks++
+		m.stats.OptimisticFallbacks++
 		return false
 	}
 	f, ok := m.frames[pid]
 	if !ok || f.pending {
-		m.stats.OptFallbacks++
+		m.stats.OptimisticFallbacks++
 		return false
 	}
-	m.stats.OptHits++
+	m.stats.OptimisticHits++
 	m.stats.Hits++
 	m.stats.LogicalReads++
 	m.touched[pid] = true // recency feedback the LRU second chance consumes

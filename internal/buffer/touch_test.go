@@ -68,8 +68,8 @@ func TestOptimisticHitsProtectHotSet(t *testing.T) {
 				}
 			}
 			st := p.Stats()
-			if want := int64(churn * hotPages); st.OptHits != want {
-				t.Errorf("OptHits = %d, want %d (every hot read lock-free)", st.OptHits, want)
+			if want := int64(churn * hotPages); st.OptimisticHits != want {
+				t.Errorf("OptimisticHits = %d, want %d (every hot read lock-free)", st.OptimisticHits, want)
 			}
 			p.CheckInvariants()
 		})
@@ -131,7 +131,7 @@ func TestMapTranslationNeverTouches(t *testing.T) {
 		t.Error("page 1 survived; the optimistic probe must not have refreshed it")
 	}
 	st := p.Stats()
-	if st.OptHits != 0 || st.OptRetries != 0 {
+	if st.OptimisticHits != 0 || st.OptimisticRetries != 0 {
 		t.Errorf("map pool recorded optimistic traffic: %+v", st)
 	}
 }

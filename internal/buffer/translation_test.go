@@ -94,7 +94,7 @@ func TestTranslationGrowsOnDemand(t *testing.T) {
 	p.CheckInvariants()
 
 	st := p.Stats()
-	if st.OptHits == 0 || st.OptFallbacks == 0 {
+	if st.OptimisticHits == 0 || st.OptimisticFallbacks == 0 {
 		t.Fatalf("optimistic counters not tracking: %+v", st)
 	}
 }
@@ -156,7 +156,7 @@ func TestOptimisticPendingFallback(t *testing.T) {
 		t.Fatal("ReadOptimistic missed a filled frame")
 	}
 	st := p.Stats()
-	if st.OptFallbacks != 1 || st.OptHits != 1 || st.OptRetries != 0 {
+	if st.OptimisticFallbacks != 1 || st.OptimisticHits != 1 || st.OptimisticRetries != 0 {
 		t.Fatalf("counters = %+v, want 1 fallback, 1 hit, 0 retries", st)
 	}
 }
@@ -315,7 +315,7 @@ func TestMapTranslationNoOptimisticPath(t *testing.T) {
 		t.Fatal("map pool served an optimistic read")
 	}
 	st := p.Stats()
-	if st.OptHits != 0 || st.OptRetries != 0 || st.OptFallbacks != 0 {
+	if st.OptimisticHits != 0 || st.OptimisticRetries != 0 || st.OptimisticFallbacks != 0 {
 		t.Fatalf("map pool recorded optimistic counters: %+v", st)
 	}
 }

@@ -132,6 +132,22 @@ type Stats struct {
 	ScanRejoins        int64 // detached scans re-admitted after recovery
 }
 
+// Add accumulates o into s, for summing the managers of several pools.
+func (s *Stats) Add(o Stats) {
+	s.ScansStarted += o.ScansStarted
+	s.ScansFinished += o.ScansFinished
+	s.JoinPlacements += o.JoinPlacements
+	s.TrailPlacements += o.TrailPlacements
+	s.ResidualPlacements += o.ResidualPlacements
+	s.ColdPlacements += o.ColdPlacements
+	s.ThrottleEvents += o.ThrottleEvents
+	s.ThrottleTime += o.ThrottleTime
+	s.FairnessExemptions += o.FairnessExemptions
+	s.ProgressReports += o.ProgressReports
+	s.ScanDetaches += o.ScanDetaches
+	s.ScanRejoins += o.ScanRejoins
+}
+
 // scanState is the SSM's record of one ongoing scan (the paper's per-scan
 // attributes: location, remaining pages, speed, range, accumulated delay).
 type scanState struct {

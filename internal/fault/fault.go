@@ -175,6 +175,15 @@ type Reader interface {
 	ReadPage(pid disk.PageID) ([]byte, error)
 }
 
+// AttemptReader is a Reader whose reads wait themselves (a modelled
+// transfer time, say). A Store that wraps one hands it the attempt's
+// context, Env and what is left of the timeout, so its wait runs on the
+// caller's clock and ends with the attempt.
+type AttemptReader interface {
+	Reader
+	ReadPageAt(ctx context.Context, env Env, timeout time.Duration, pid disk.PageID, attempt int) ([]byte, error)
+}
+
 // Counters is a snapshot of a Store's injection counters.
 type Counters struct {
 	Reads           int64 // read attempts that reached the store
@@ -199,10 +208,12 @@ type Env interface {
 	Sleep(ctx context.Context, d time.Duration)
 }
 
-// wallEnv waits on the wall clock, for ReadPage.
-type wallEnv struct{}
+// WallEnv waits on the wall clock, for plain ReadPage entry points that
+// have no caller's Env.
+type WallEnv struct{}
 
-func (wallEnv) Sleep(_ context.Context, d time.Duration) { time.Sleep(d) }
+// Sleep waits d on the wall clock; ctx is not consulted.
+func (WallEnv) Sleep(_ context.Context, d time.Duration) { time.Sleep(d) }
 
 // forever is how long a stall waits when nothing bounds it.
 const forever = time.Duration(1<<63 - 1)
@@ -213,8 +224,9 @@ const forever = time.Duration(1<<63 - 1)
 // probes for, so retries see fresh fault decisions and injected waits run on
 // the runner's clock.
 type Store struct {
-	inner Reader
-	plan  Plan
+	inner   Reader
+	attempt AttemptReader // inner's AttemptReader extension, or nil
+	plan    Plan
 
 	reads          atomic.Int64
 	injectedErrors atomic.Int64
@@ -232,7 +244,9 @@ func NewStore(inner Reader, plan Plan) (*Store, error) {
 	if err := plan.Validate(); err != nil {
 		return nil, err
 	}
-	return &Store{inner: inner, plan: plan}, nil
+	s := &Store{inner: inner, plan: plan}
+	s.attempt, _ = inner.(AttemptReader)
+	return s, nil
 }
 
 // MustNewStore is NewStore for known-good plans; it panics on error.
@@ -248,14 +262,16 @@ func MustNewStore(inner Reader, plan Plan) *Store {
 // block until the process exits under this entry point — callers that can
 // see stalls should use ReadPageAt with a timeout or a cancellable context.
 func (s *Store) ReadPage(pid disk.PageID) ([]byte, error) {
-	return s.ReadPageAt(context.Background(), wallEnv{}, 0, pid, 0)
+	return s.ReadPageAt(context.Background(), WallEnv{}, 0, pid, 0)
 }
 
 // ReadPageAt serves one read attempt, applying the plan's decision for
 // (pid, attempt) before delegating to the wrapped reader. Injected latency
 // and stalls wait on env for at most timeout (0: no bound) and until ctx
 // ends; a wait the timeout cuts short fails the read with
-// context.DeadlineExceeded, one ctx ends with ctx's error.
+// context.DeadlineExceeded, one ctx ends with ctx's error. An
+// AttemptReader underneath gets the same ctx and env and the rest of the
+// timeout.
 func (s *Store) ReadPageAt(ctx context.Context, env Env, timeout time.Duration, pid disk.PageID, attempt int) ([]byte, error) {
 	s.reads.Add(1)
 	switch i := s.plan.decide(pid, attempt); {
@@ -267,20 +283,33 @@ func (s *Store) ReadPageAt(ctx context.Context, env Env, timeout time.Duration, 
 	case s.plan.Rules[i].Kind == KindLatency:
 		s.latencyEvents.Add(1)
 		s.latencyNanos.Add(int64(s.plan.Rules[i].Latency))
-		if err := wait(ctx, env, s.plan.Rules[i].Latency, timeout); err != nil {
+		lat := s.plan.Rules[i].Latency
+		if err := Wait(ctx, env, lat, timeout); err != nil {
 			return nil, fmt.Errorf("page %d attempt %d: %w", pid, attempt, err)
+		}
+		if timeout > 0 {
+			timeout -= lat // still positive: Wait fails a latency >= timeout
 		}
 	case s.plan.Rules[i].Kind == KindStall:
 		s.stalls.Add(1)
-		return nil, fmt.Errorf("page %d attempt %d stalled: %w", pid, attempt, wait(ctx, env, forever, timeout))
+		return nil, fmt.Errorf("page %d attempt %d stalled: %w", pid, attempt, Wait(ctx, env, forever, timeout))
 	case s.plan.Rules[i].Kind == KindTorn:
 		s.tornReads.Add(1)
-		data, err := s.inner.ReadPage(pid)
+		data, err := s.readInner(ctx, env, timeout, pid, attempt)
 		if err != nil {
 			return nil, err
 		}
 		return data[:len(data)/2], fmt.Errorf("page %d attempt %d short read (%d of %d bytes): %w",
 			pid, attempt, len(data)/2, len(data), ErrTorn)
+	}
+	return s.readInner(ctx, env, timeout, pid, attempt)
+}
+
+// readInner reads pid from the wrapped reader, through its AttemptReader
+// extension when it has one.
+func (s *Store) readInner(ctx context.Context, env Env, timeout time.Duration, pid disk.PageID, attempt int) ([]byte, error) {
+	if s.attempt != nil {
+		return s.attempt.ReadPageAt(ctx, env, timeout, pid, attempt)
 	}
 	return s.inner.ReadPage(pid)
 }
@@ -297,10 +326,10 @@ func (s *Store) Counters() Counters {
 	}
 }
 
-// wait spends d on env, cut short by timeout (if positive) or by ctx. It
+// Wait spends d on env, cut short by timeout (if positive) or by ctx. It
 // returns nil when the whole of d passed, context.DeadlineExceeded when the
 // timeout ended it, and ctx's error when ctx did.
-func wait(ctx context.Context, env Env, d, timeout time.Duration) error {
+func Wait(ctx context.Context, env Env, d, timeout time.Duration) error {
 	cut := timeout > 0 && d >= timeout
 	if cut {
 		d = timeout

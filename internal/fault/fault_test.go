@@ -191,6 +191,47 @@ func TestLatencyInjection(t *testing.T) {
 	}
 }
 
+// waitingStore is an AttemptReader that waits delay on the env it is handed
+// and records the timeout it got.
+type waitingStore struct {
+	memStore
+	delay   time.Duration
+	timeout time.Duration
+}
+
+func (s *waitingStore) ReadPageAt(ctx context.Context, env Env, timeout time.Duration, pid disk.PageID, _ int) ([]byte, error) {
+	s.timeout = timeout
+	if err := Wait(ctx, env, s.delay, timeout); err != nil {
+		return nil, err
+	}
+	return s.ReadPage(pid)
+}
+
+// TestAttemptReaderUnderneath checks that a Store hands an AttemptReader it
+// wraps the attempt's env and what the injected latency left of the
+// timeout, so the inner wait ends with the attempt.
+func TestAttemptReaderUnderneath(t *testing.T) {
+	inner := &waitingStore{memStore: memStore{pageBytes: 8}, delay: 30 * time.Millisecond}
+	st := MustNewStore(inner, Plan{Rules: []Rule{
+		{Kind: KindLatency, FirstPage: 1, LastPage: 1, Prob: 1, Latency: 50 * time.Millisecond},
+	}})
+	env := new(recEnv)
+	if _, err := st.ReadPageAt(context.Background(), env, 0, 3, 0); err != nil {
+		t.Fatal(err)
+	}
+	if env.slept != 30*time.Millisecond || inner.timeout != 0 {
+		t.Errorf("healthy read: slept %v with timeout %v, want 30ms unbounded", env.slept, inner.timeout)
+	}
+	env = new(recEnv)
+	_, err := st.ReadPageAt(context.Background(), env, 70*time.Millisecond, 1, 0)
+	if !errors.Is(err, context.DeadlineExceeded) {
+		t.Errorf("latency + inner wait past the timeout returned %v, want DeadlineExceeded", err)
+	}
+	if env.slept != 70*time.Millisecond || inner.timeout != 20*time.Millisecond {
+		t.Errorf("slept %v, inner timeout %v; want 70ms in all, 20ms left for the inner read", env.slept, inner.timeout)
+	}
+}
+
 func TestStallHonorsContext(t *testing.T) {
 	st := MustNewStore(memStore{pageBytes: 8}, Plan{Rules: []Rule{
 		{Kind: KindStall, Prob: 1, UntilAttempt: 1},

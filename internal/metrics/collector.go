@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // Collector aggregates activity counters from many concurrently running scan
@@ -12,48 +13,9 @@ import (
 // the realtime execution mode, so it uses plain atomics and never blocks.
 // The zero value is ready to use.
 type Collector struct {
-	pagesRead      atomic.Int64
-	hits           atomic.Int64
-	optimisticHits atomic.Int64
-	misses         atomic.Int64
-	busyRetries    atomic.Int64
-
-	scansStarted atomic.Int64
-	scansEnded   atomic.Int64
-	scansStopped atomic.Int64
-
-	throttleEvents atomic.Int64
-	throttleNanos  atomic.Int64
-
-	prefetchEnqueued atomic.Int64
-	prefetchPicked   atomic.Int64
-	prefetchDropped  atomic.Int64
-	prefetchFilled   atomic.Int64
-	prefetchFailed   atomic.Int64
-
-	readRetries  atomic.Int64
-	readTimeouts atomic.Int64
-	pagesFailed  atomic.Int64
-	scanDetaches atomic.Int64
-	scanRejoins  atomic.Int64
-
-	readsCoalesced    atomic.Int64
-	coalescedFailures atomic.Int64
-
-	// Push-delivery mode: batches accepted by subscribers, reader stalls
-	// on full subscriber channels, subscribers demoted to self-pulling
-	// after exhausting their stall budget, and folds into a shared
-	// aggregation table.
-	batchesPushed    atomic.Int64
-	subscriberStalls atomic.Int64
-	pushDemotions    atomic.Int64
-	sharedAggFolds   atomic.Int64
-
-	// traceDropped mirrors the trace ring's cumulative dropped-event count,
-	// synced by whoever owns the tracer (RunRealtime, the serve loop) so the
-	// exporter and sampler can surface journal loss without holding a tracer
-	// reference.
-	traceDropped atomic.Int64
+	// counters holds one atomic per Counter; CollectorCounters says which
+	// CollectorStats field each one fills.
+	counters [numCounters]atomic.Int64
 
 	// Latency distributions for the three waits a scan can experience:
 	// the physical read of a missed page, an SSM-inserted throttle, and
@@ -61,6 +23,75 @@ type Collector struct {
 	pageRead      Histogram
 	throttleWait  Histogram
 	prefetchDelay Histogram
+}
+
+// Counter names one of the Collector's counters. The constants follow the
+// Prometheus exposition order.
+type Counter int
+
+const (
+	PagesRead Counter = iota
+	Hits
+	OptimisticHits
+	Misses
+	BusyRetries
+	ScansStarted
+	ScansEnded
+	ScansStopped
+	ThrottleEvents
+	ThrottleWait
+	PrefetchEnqueued
+	PrefetchPicked
+	PrefetchDropped
+	PrefetchFilled
+	PrefetchFailed
+	ReadsCoalesced
+	CoalescedFailures
+	ReadRetries
+	ReadTimeouts
+	PagesFailed
+	ScanDetaches
+	ScanRejoins
+	BatchesPushed
+	SubscriberStalls
+	PushDemotions
+	SharedAggFolds
+	TraceDropped
+	numCounters
+)
+
+// CollectorCounters declares every Collector counter, indexed by Counter:
+// its Prometheus family and the CollectorStats field it fills. Adding a
+// counter takes a constant, a row here, a CollectorStats field and the
+// increment site. Read-only.
+var CollectorCounters = [numCounters]Desc[CollectorStats]{
+	PagesRead:         {"scanshare_pages_read_total", "Pages fetched and processed by scan workers.", KindCount, unsafe.Offsetof(CollectorStats{}.PagesRead)},
+	Hits:              {"scanshare_page_hits_total", "Buffer pool hits observed by scan workers.", KindCount, unsafe.Offsetof(CollectorStats{}.Hits)},
+	OptimisticHits:    {"scanshare_optimistic_hits_total", "Hits scan workers took over the pool's lock-free read path.", KindCount, unsafe.Offsetof(CollectorStats{}.OptimisticHits)},
+	Misses:            {"scanshare_page_misses_total", "Buffer pool misses filled by scan workers.", KindCount, unsafe.Offsetof(CollectorStats{}.Misses)},
+	BusyRetries:       {"scanshare_busy_retries_total", "Acquire backoffs on in-flight reads or full shards.", KindCount, unsafe.Offsetof(CollectorStats{}.BusyRetries)},
+	ScansStarted:      {"scanshare_scans_started_total", "Scans registered with the sharing manager.", KindCount, unsafe.Offsetof(CollectorStats{}.ScansStarted)},
+	ScansEnded:        {"scanshare_scans_ended_total", "Scans deregistered.", KindCount, unsafe.Offsetof(CollectorStats{}.ScansEnded)},
+	ScansStopped:      {"scanshare_scans_stopped_total", "Scans terminated mid-flight.", KindCount, unsafe.Offsetof(CollectorStats{}.ScansStopped)},
+	ThrottleEvents:    {"scanshare_throttle_events_total", "SSM-inserted leader waits.", KindCount, unsafe.Offsetof(CollectorStats{}.ThrottleEvents)},
+	ThrottleWait:      {"scanshare_throttle_wait_seconds_total", "Total SSM-inserted wait time.", KindSeconds, unsafe.Offsetof(CollectorStats{}.ThrottleWait)},
+	PrefetchEnqueued:  {"scanshare_prefetch_enqueued_total", "Extents accepted into the prefetch queue.", KindCount, unsafe.Offsetof(CollectorStats{}.PrefetchEnqueued)},
+	PrefetchPicked:    {"scanshare_prefetch_picked_total", "Extents a prefetch worker started on.", KindCount, unsafe.Offsetof(CollectorStats{}.PrefetchPicked)},
+	PrefetchDropped:   {"scanshare_prefetch_dropped_total", "Extents dropped because the prefetch queue was full.", KindCount, unsafe.Offsetof(CollectorStats{}.PrefetchDropped)},
+	PrefetchFilled:    {"scanshare_prefetch_filled_total", "Pages prefetch workers brought into the pool.", KindCount, unsafe.Offsetof(CollectorStats{}.PrefetchFilled)},
+	PrefetchFailed:    {"scanshare_prefetch_failed_total", "Pages whose prefetch read failed.", KindCount, unsafe.Offsetof(CollectorStats{}.PrefetchFailed)},
+	ReadsCoalesced:    {"scanshare_reads_coalesced_total", "Misses that joined another caller's in-flight read.", KindCount, unsafe.Offsetof(CollectorStats{}.ReadsCoalesced)},
+	CoalescedFailures: {"scanshare_coalesced_failures_total", "Coalesced waits that inherited the leader's read error.", KindCount, unsafe.Offsetof(CollectorStats{}.CoalescedFailures)},
+	ReadRetries:       {"scanshare_read_retries_total", "Store read attempts retried after an error or timeout.", KindCount, unsafe.Offsetof(CollectorStats{}.ReadRetries)},
+	ReadTimeouts:      {"scanshare_read_timeouts_total", "Store reads that exceeded the per-read timeout.", KindCount, unsafe.Offsetof(CollectorStats{}.ReadTimeouts)},
+	PagesFailed:       {"scanshare_pages_failed_total", "Pages declared failed after exhausting retries.", KindCount, unsafe.Offsetof(CollectorStats{}.PagesFailed)},
+	ScanDetaches:      {"scanshare_scan_detaches_total", "Scans detached from group coordination.", KindCount, unsafe.Offsetof(CollectorStats{}.ScanDetaches)},
+	ScanRejoins:       {"scanshare_scan_rejoins_total", "Detached scans re-admitted.", KindCount, unsafe.Offsetof(CollectorStats{}.ScanRejoins)},
+	BatchesPushed:     {"scanshare_batches_pushed_total", "Page batches accepted by push-delivery subscribers.", KindCount, unsafe.Offsetof(CollectorStats{}.BatchesPushed)},
+	SubscriberStalls:  {"scanshare_subscriber_stalls_total", "Push reader blocks on a full subscriber channel.", KindCount, unsafe.Offsetof(CollectorStats{}.SubscriberStalls)},
+	PushDemotions:     {"scanshare_push_demotions_total", "Subscribers demoted to self-pulling after exhausting the stall budget.", KindCount, unsafe.Offsetof(CollectorStats{}.PushDemotions)},
+	SharedAggFolds:    {"scanshare_shared_agg_folds_total", "Tuple folds into a shared (cross-consumer) aggregation table.", KindCount, unsafe.Offsetof(CollectorStats{}.SharedAggFolds)},
+	TraceDropped:      {"scanshare_trace_dropped_total", "Events the trace ring discarded because it was full.", KindMax, unsafe.Offsetof(CollectorStats{}.TraceDropped)},
 }
 
 // CollectorStats is a consistent-enough snapshot of the counters: each field
@@ -177,41 +208,35 @@ func (s CollectorStats) String() string {
 	return out
 }
 
+// Add adds n to counter k. Counters with a compound meaning have their own
+// methods: PageHit, PageMiss, ScanEnded, Throttled and SetTraceDropped.
+func (c *Collector) Add(k Counter, n int64) { c.counters[k].Add(n) }
+
 // PageHit records a buffer-pool hit for one processed page.
 func (c *Collector) PageHit() {
-	c.pagesRead.Add(1)
-	c.hits.Add(1)
+	c.counters[PagesRead].Add(1)
+	c.counters[Hits].Add(1)
 }
-
-// OptimisticHit records a hit served by the pool's lock-free read path
-// (array translation); the hit itself is still counted via PageHit.
-func (c *Collector) OptimisticHit() { c.optimisticHits.Add(1) }
 
 // PageMiss records a pool miss that the scan worker filled itself.
 func (c *Collector) PageMiss() {
-	c.pagesRead.Add(1)
-	c.misses.Add(1)
+	c.counters[PagesRead].Add(1)
+	c.counters[Misses].Add(1)
 }
-
-// BusyRetry records one backoff on a page whose read is in flight elsewhere.
-func (c *Collector) BusyRetry() { c.busyRetries.Add(1) }
-
-// ScanStarted records a scan registering with the sharing manager.
-func (c *Collector) ScanStarted() { c.scansStarted.Add(1) }
 
 // ScanEnded records a scan deregistering; stopped marks a mid-flight
 // termination rather than a completed range.
 func (c *Collector) ScanEnded(stopped bool) {
-	c.scansEnded.Add(1)
+	c.counters[ScansEnded].Add(1)
 	if stopped {
-		c.scansStopped.Add(1)
+		c.counters[ScansStopped].Add(1)
 	}
 }
 
 // Throttled records one inserted wait of duration d.
 func (c *Collector) Throttled(d time.Duration) {
-	c.throttleEvents.Add(1)
-	c.throttleNanos.Add(int64(d))
+	c.counters[ThrottleEvents].Add(1)
+	c.counters[ThrottleWait].Add(int64(d))
 	c.throttleWait.Observe(d)
 }
 
@@ -223,67 +248,14 @@ func (c *Collector) PageReadTimed(d time.Duration) { c.pageRead.Observe(d) }
 // before a worker started on it.
 func (c *Collector) PrefetchDelayed(d time.Duration) { c.prefetchDelay.Observe(d) }
 
-// PrefetchEnqueued records an extent accepted into the prefetch queue.
-func (c *Collector) PrefetchEnqueued() { c.prefetchEnqueued.Add(1) }
-
-// PrefetchPicked records a worker dequeuing an extent to start on it; the
-// enqueued-picked difference is the live queue depth.
-func (c *Collector) PrefetchPicked() { c.prefetchPicked.Add(1) }
-
-// PrefetchDropped records an extent dropped because the queue was full.
-func (c *Collector) PrefetchDropped() { c.prefetchDropped.Add(1) }
-
-// PrefetchFilled records a page a prefetch worker read into the pool.
-func (c *Collector) PrefetchFilled() { c.prefetchFilled.Add(1) }
-
-// PrefetchFailed records a page whose prefetch read failed; the pipeline
-// dedups further attempts on it.
-func (c *Collector) PrefetchFailed() { c.prefetchFailed.Add(1) }
-
-// ReadRetried records a store read attempt retried after an error or timeout.
-func (c *Collector) ReadRetried() { c.readRetries.Add(1) }
-
-// ReadTimedOut records a store read that exceeded the per-read timeout.
-func (c *Collector) ReadTimedOut() { c.readTimeouts.Add(1) }
-
-// PageFailed records a page declared failed after its retries were exhausted.
-func (c *Collector) PageFailed() { c.pagesFailed.Add(1) }
-
-// ScanDetached records a scan detached from group coordination.
-func (c *Collector) ScanDetached() { c.scanDetaches.Add(1) }
-
-// ScanRejoined records a detached scan re-admitted to group coordination.
-func (c *Collector) ScanRejoined() { c.scanRejoins.Add(1) }
-
-// ReadCoalesced records a miss that joined an in-flight read issued by
-// another caller instead of duplicating the physical I/O.
-func (c *Collector) ReadCoalesced() { c.readsCoalesced.Add(1) }
-
-// CoalescedFailure records a coalesced wait that ended with the leading
-// read's error propagated to the waiter.
-func (c *Collector) CoalescedFailure() { c.coalescedFailures.Add(1) }
-
-// BatchPushed records one page batch accepted by a push-delivery subscriber.
-func (c *Collector) BatchPushed() { c.batchesPushed.Add(1) }
-
-// SubscriberStalled records the push reader blocking on a subscriber whose
-// channel is full — push mode's flow-control analogue of a throttle event.
-func (c *Collector) SubscriberStalled() { c.subscriberStalls.Add(1) }
-
-// PushDemoted records a subscriber removed from push delivery after
-// exhausting its stall budget; it finishes its footprint by pulling.
-func (c *Collector) PushDemoted() { c.pushDemotions.Add(1) }
-
-// SharedAggFolded records n tuple folds into a shared aggregation table.
-func (c *Collector) SharedAggFolded(n int64) { c.sharedAggFolds.Add(n) }
-
 // SetTraceDropped syncs the trace ring's cumulative dropped-event count.
 // The ring's counter only grows, so the max keeps the collector monotonic
 // even when several runs sync the same tracer concurrently.
 func (c *Collector) SetTraceDropped(n int64) {
+	v := &c.counters[TraceDropped]
 	for {
-		cur := c.traceDropped.Load()
-		if n <= cur || c.traceDropped.CompareAndSwap(cur, n) {
+		cur := v.Load()
+		if n <= cur || v.CompareAndSwap(cur, n) {
 			return
 		}
 	}
@@ -296,19 +268,8 @@ func (c *Collector) Reset() {
 	if c == nil {
 		return
 	}
-	for _, v := range []*atomic.Int64{
-		&c.pagesRead, &c.hits, &c.optimisticHits, &c.misses, &c.busyRetries,
-		&c.scansStarted, &c.scansEnded, &c.scansStopped,
-		&c.throttleEvents, &c.throttleNanos,
-		&c.prefetchEnqueued, &c.prefetchPicked, &c.prefetchDropped,
-		&c.prefetchFilled, &c.prefetchFailed,
-		&c.readRetries, &c.readTimeouts, &c.pagesFailed,
-		&c.scanDetaches, &c.scanRejoins,
-		&c.readsCoalesced, &c.coalescedFailures,
-		&c.batchesPushed, &c.subscriberStalls, &c.pushDemotions, &c.sharedAggFolds,
-		&c.traceDropped,
-	} {
-		v.Store(0)
+	for i := range c.counters {
+		c.counters[i].Store(0)
 	}
 	c.pageRead.Reset()
 	c.throttleWait.Reset()
@@ -317,39 +278,15 @@ func (c *Collector) Reset() {
 
 // Snapshot returns the current counter values.
 func (c *Collector) Snapshot() CollectorStats {
+	var s CollectorStats
 	if c == nil {
-		return CollectorStats{}
+		return s
 	}
-	return CollectorStats{
-		PagesRead:          c.pagesRead.Load(),
-		Hits:               c.hits.Load(),
-		OptimisticHits:     c.optimisticHits.Load(),
-		Misses:             c.misses.Load(),
-		BusyRetries:        c.busyRetries.Load(),
-		ScansStarted:       c.scansStarted.Load(),
-		ScansEnded:         c.scansEnded.Load(),
-		ScansStopped:       c.scansStopped.Load(),
-		ThrottleEvents:     c.throttleEvents.Load(),
-		ThrottleWait:       time.Duration(c.throttleNanos.Load()),
-		PrefetchEnqueued:   c.prefetchEnqueued.Load(),
-		PrefetchPicked:     c.prefetchPicked.Load(),
-		PrefetchDropped:    c.prefetchDropped.Load(),
-		PrefetchFilled:     c.prefetchFilled.Load(),
-		PrefetchFailed:     c.prefetchFailed.Load(),
-		ReadRetries:        c.readRetries.Load(),
-		ReadTimeouts:       c.readTimeouts.Load(),
-		PagesFailed:        c.pagesFailed.Load(),
-		ScanDetaches:       c.scanDetaches.Load(),
-		ScanRejoins:        c.scanRejoins.Load(),
-		ReadsCoalesced:     c.readsCoalesced.Load(),
-		CoalescedFailures:  c.coalescedFailures.Load(),
-		BatchesPushed:      c.batchesPushed.Load(),
-		SubscriberStalls:   c.subscriberStalls.Load(),
-		PushDemotions:      c.pushDemotions.Load(),
-		SharedAggFolds:     c.sharedAggFolds.Load(),
-		TraceDropped:       c.traceDropped.Load(),
-		PageReadLatency:    c.pageRead.Snapshot(),
-		ThrottleWaitDist:   c.throttleWait.Snapshot(),
-		PrefetchQueueDelay: c.prefetchDelay.Snapshot(),
+	for i := range CollectorCounters {
+		*CollectorCounters[i].At(&s) = c.counters[i].Load()
 	}
+	s.PageReadLatency = c.pageRead.Snapshot()
+	s.ThrottleWaitDist = c.throttleWait.Snapshot()
+	s.PrefetchQueueDelay = c.prefetchDelay.Snapshot()
+	return s
 }

@@ -22,20 +22,20 @@ func TestCollectorConcurrent(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				c.ScanStarted()
+				c.Add(ScansStarted, 1)
 				c.PageHit()
 				c.PageMiss()
-				c.BusyRetry()
+				c.Add(BusyRetries, 1)
 				c.Throttled(time.Millisecond)
-				c.PrefetchEnqueued()
-				c.PrefetchDropped()
-				c.PrefetchFilled()
-				c.PrefetchFailed()
-				c.ReadRetried()
-				c.ReadTimedOut()
-				c.PageFailed()
-				c.ScanDetached()
-				c.ScanRejoined()
+				c.Add(PrefetchEnqueued, 1)
+				c.Add(PrefetchDropped, 1)
+				c.Add(PrefetchFilled, 1)
+				c.Add(PrefetchFailed, 1)
+				c.Add(ReadRetries, 1)
+				c.Add(ReadTimeouts, 1)
+				c.Add(PagesFailed, 1)
+				c.Add(ScanDetaches, 1)
+				c.Add(ScanRejoins, 1)
 				c.ScanEnded(i%2 == 0)
 				_ = c.Snapshot() // readers interleave with writers
 			}
@@ -81,29 +81,19 @@ func TestCollectorStringFailureSuffix(t *testing.T) {
 	if s := c.Snapshot().String(); strings.Contains(s, "failures:") {
 		t.Errorf("healthy snapshot renders failure suffix: %q", s)
 	}
-	c.ReadTimedOut()
-	c.ReadRetried()
+	c.Add(ReadTimeouts, 1)
+	c.Add(ReadRetries, 1)
 	out := c.Snapshot().String()
 	if !strings.Contains(out, "failures: 1 retries (1 timeouts)") {
 		t.Errorf("failure suffix missing or wrong: %q", out)
 	}
 
 	// Each failure counter must switch the suffix on by itself.
-	arm := []struct {
-		name string
-		hit  func(c *Collector)
-	}{
-		{"prefetch-failed", (*Collector).PrefetchFailed},
-		{"read-retried", (*Collector).ReadRetried},
-		{"read-timed-out", (*Collector).ReadTimedOut},
-		{"page-failed", (*Collector).PageFailed},
-		{"scan-detached", (*Collector).ScanDetached},
-	}
-	for _, tc := range arm {
+	for _, k := range []Counter{PrefetchFailed, ReadRetries, ReadTimeouts, PagesFailed, ScanDetaches} {
 		var c Collector
-		tc.hit(&c)
+		c.Add(k, 1)
 		if s := c.Snapshot().String(); !strings.Contains(s, "failures:") {
-			t.Errorf("%s alone does not arm the failure suffix: %q", tc.name, s)
+			t.Errorf("%s alone does not arm the failure suffix: %q", CollectorCounters[k].Name, s)
 		}
 	}
 }
@@ -114,13 +104,13 @@ func TestCollectorStringFailureSuffix(t *testing.T) {
 // wrapped counter neither corrupts its neighbors nor panics the renderer.
 func TestCollectorFailureCountersOverflow(t *testing.T) {
 	var c Collector
-	c.readRetries.Store(math.MaxInt64 - 1)
-	c.ReadRetried()
+	c.counters[ReadRetries].Store(math.MaxInt64 - 1)
+	c.Add(ReadRetries, 1)
 	if got := c.Snapshot().ReadRetries; got != math.MaxInt64 {
 		t.Fatalf("ReadRetries = %d, want MaxInt64", got)
 	}
-	c.ReadTimedOut() // neighbor written between the saturating and wrapping add
-	c.ReadRetried()  // wraps
+	c.Add(ReadTimeouts, 1) // neighbor written between the saturating and wrapping add
+	c.Add(ReadRetries, 1)  // wraps
 	s := c.Snapshot()
 	if s.ReadRetries != math.MinInt64 {
 		t.Errorf("ReadRetries after wrap = %d, want MinInt64", s.ReadRetries)
@@ -136,14 +126,14 @@ func TestCollectorFailureCountersOverflow(t *testing.T) {
 	// Concurrent increments across the boundary still land exactly.
 	var c2 Collector
 	const workers, each = 8, 1000
-	c2.pagesFailed.Store(math.MaxInt64 - workers*each/2)
+	c2.counters[PagesFailed].Store(math.MaxInt64 - workers*each/2)
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			for i := 0; i < each; i++ {
-				c2.PageFailed()
+				c2.Add(PagesFailed, 1)
 			}
 		}()
 	}
@@ -156,38 +146,28 @@ func TestCollectorFailureCountersOverflow(t *testing.T) {
 	}
 }
 
-// driveCollector applies a fixed op script — every counter and all three
-// histograms — so two drives of a fresh (or Reset) collector must yield
-// byte-identical snapshots.
+// driveCollector applies a fixed op script — every counter of
+// CollectorCounters by a distinct amount, the compound recorders and all
+// three histograms — so two drives of a fresh (or Reset) collector must
+// yield byte-identical snapshots, and a Reset that forgets any counter shows.
 func driveCollector(c *Collector) {
-	for i := 0; i < 25; i++ {
-		c.PageHit()
+	for k := range CollectorCounters {
+		if CollectorCounters[k].Kind == KindMax {
+			c.SetTraceDropped(int64(k) + 1)
+		} else {
+			c.Add(Counter(k), int64(k)+1)
+		}
 	}
 	for i := 0; i < 10; i++ {
+		c.PageHit()
 		c.PageMiss()
 		c.PageReadTimed(time.Duration(500+i*100) * time.Microsecond)
 	}
-	c.BusyRetry()
-	c.ScanStarted()
-	c.ScanStarted()
 	c.ScanEnded(false)
 	c.ScanEnded(true)
 	c.Throttled(3 * time.Millisecond)
 	c.Throttled(7 * time.Millisecond)
-	c.PrefetchEnqueued()
-	c.PrefetchEnqueued()
-	c.PrefetchPicked()
 	c.PrefetchDelayed(200 * time.Microsecond)
-	c.PrefetchFilled()
-	c.PrefetchDropped()
-	c.PrefetchFailed()
-	c.ReadRetried()
-	c.ReadTimedOut()
-	c.PageFailed()
-	c.ScanDetached()
-	c.ScanRejoined()
-	c.ReadCoalesced()
-	c.CoalescedFailure()
 }
 
 // TestCollectorReset proves Reset returns the collector to a zero state:
@@ -197,8 +177,10 @@ func TestCollectorReset(t *testing.T) {
 	c := new(Collector)
 	driveCollector(c)
 	first := c.Snapshot()
-	if first == (CollectorStats{}) {
-		t.Fatal("script produced an empty snapshot; the test is vacuous")
+	for k := range CollectorCounters {
+		if *CollectorCounters[k].At(&first) == 0 {
+			t.Fatalf("script left %s at zero; the test cannot see a Reset that forgets it", CollectorCounters[k].Name)
+		}
 	}
 
 	c.Reset()

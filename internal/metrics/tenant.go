@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sync/atomic"
 	"time"
+	"unsafe"
 )
 
 // TenantCollector aggregates one tenant's admission-control activity in the
@@ -11,23 +12,48 @@ import (
 // request the server accepts or sheds touches it — so it uses plain atomics
 // and never blocks. The zero value is ready to use.
 type TenantCollector struct {
-	admitted atomic.Int64
-	queued   atomic.Int64
-	shed     atomic.Int64
-	running  atomic.Int64
+	// counters holds one atomic per tenantCounter; TenantCounters says
+	// which TenantStats field each one fills.
+	counters [numTenantCounters]atomic.Int64
 	// queueWait is the admission-queue latency distribution: time from a
 	// request entering its tenant's FIFO to the dispatcher granting it a
 	// slot. Requests admitted on a free slot observe ~0.
 	queueWait Histogram
+}
 
+// tenantCounter names one of the TenantCollector's counters.
+type tenantCounter int
+
+const (
+	tenantAdmitted tenantCounter = iota
+	tenantQueued
+	tenantShed
+	tenantRunning
 	// Latency-attribution sums over completed requests, synced from each
 	// request's inline wait counters by the server — the always-on live
 	// counterpart of the span assembler's per-query breakdown.
-	compileNanos  atomic.Int64
-	throttleNanos atomic.Int64
-	poolWaitNanos atomic.Int64
-	readNanos     atomic.Int64
-	deliveryNanos atomic.Int64
+	tenantCompile
+	tenantThrottle
+	tenantPoolWait
+	tenantRead
+	tenantDelivery
+	numTenantCounters
+)
+
+// TenantCounters declares every TenantCollector counter: its Prometheus
+// family (one sample per tenant) and the TenantStats field it fills. The
+// exporter writes the counters and the gauge, then the queue-wait summary,
+// then the seconds. Read-only.
+var TenantCounters = [numTenantCounters]Desc[TenantStats]{
+	tenantAdmitted: {"scanshare_tenant_admitted_total", "Requests granted an execution slot.", KindCount, unsafe.Offsetof(TenantStats{}.Admitted)},
+	tenantQueued:   {"scanshare_tenant_queued_total", "Requests that waited in the admission FIFO before a slot freed.", KindCount, unsafe.Offsetof(TenantStats{}.Queued)},
+	tenantShed:     {"scanshare_tenant_shed_total", "Requests rejected because the admission queue was at its depth limit.", KindCount, unsafe.Offsetof(TenantStats{}.Shed)},
+	tenantRunning:  {"scanshare_tenant_running", "Requests currently holding an execution slot.", KindGauge, unsafe.Offsetof(TenantStats{}.Running)},
+	tenantCompile:  {"scanshare_tenant_compile_seconds_total", "SQL parse and plan time of the tenant's requests.", KindSeconds, unsafe.Offsetof(TenantStats{}.CompileWait)},
+	tenantThrottle: {"scanshare_tenant_throttle_wait_seconds_total", "SSM-inserted sleeps inside the tenant's scans.", KindSeconds, unsafe.Offsetof(TenantStats{}.ThrottleWait)},
+	tenantPoolWait: {"scanshare_tenant_pool_wait_seconds_total", "Buffer-pool contention waits inside the tenant's scans.", KindSeconds, unsafe.Offsetof(TenantStats{}.PoolWait)},
+	tenantRead:     {"scanshare_tenant_read_wait_seconds_total", "Physical page-read time inside the tenant's scans.", KindSeconds, unsafe.Offsetof(TenantStats{}.ReadWait)},
+	tenantDelivery: {"scanshare_tenant_delivery_wait_seconds_total", "Push-delivery batch-channel waits inside the tenant's scans.", KindSeconds, unsafe.Offsetof(TenantStats{}.DeliveryWait)},
 }
 
 // TenantStats is an atomically-read (field by field, not instantaneous)
@@ -81,51 +107,44 @@ func (s TenantStats) String() string {
 // the admission queue (zero when a slot was free immediately), and moves the
 // running gauge up; the caller must pair it with Released.
 func (c *TenantCollector) Admitted(wait time.Duration) {
-	c.admitted.Add(1)
-	c.running.Add(1)
+	c.counters[tenantAdmitted].Add(1)
+	c.counters[tenantRunning].Add(1)
 	c.queueWait.Observe(wait)
 }
 
 // Queued records a request that could not run immediately and entered the
 // tenant's FIFO.
-func (c *TenantCollector) Queued() { c.queued.Add(1) }
+func (c *TenantCollector) Queued() { c.counters[tenantQueued].Add(1) }
 
 // Shed records a request rejected because the tenant's queue was at its
 // depth limit.
-func (c *TenantCollector) Shed() { c.shed.Add(1) }
+func (c *TenantCollector) Shed() { c.counters[tenantShed].Add(1) }
 
 // Released moves the running gauge down when an admitted request's slot is
 // returned.
-func (c *TenantCollector) Released() { c.running.Add(-1) }
+func (c *TenantCollector) Released() { c.counters[tenantRunning].Add(-1) }
 
 // RecordBreakdown adds one completed request's latency attribution: compile
 // time plus the scan's inline wait counters.
 func (c *TenantCollector) RecordBreakdown(compile, throttle, pool, read, delivery time.Duration) {
-	c.compileNanos.Add(int64(compile))
-	c.throttleNanos.Add(int64(throttle))
-	c.poolWaitNanos.Add(int64(pool))
-	c.readNanos.Add(int64(read))
-	c.deliveryNanos.Add(int64(delivery))
+	c.counters[tenantCompile].Add(int64(compile))
+	c.counters[tenantThrottle].Add(int64(throttle))
+	c.counters[tenantPoolWait].Add(int64(pool))
+	c.counters[tenantRead].Add(int64(read))
+	c.counters[tenantDelivery].Add(int64(delivery))
 }
 
 // Snapshot returns the current counters under name.
 func (c *TenantCollector) Snapshot(name string) TenantStats {
+	s := TenantStats{Name: name}
 	if c == nil {
-		return TenantStats{Name: name}
+		return s
 	}
-	return TenantStats{
-		Name:         name,
-		Admitted:     c.admitted.Load(),
-		Queued:       c.queued.Load(),
-		Shed:         c.shed.Load(),
-		Running:      c.running.Load(),
-		QueueWait:    c.queueWait.Snapshot(),
-		CompileWait:  time.Duration(c.compileNanos.Load()),
-		ThrottleWait: time.Duration(c.throttleNanos.Load()),
-		PoolWait:     time.Duration(c.poolWaitNanos.Load()),
-		ReadWait:     time.Duration(c.readNanos.Load()),
-		DeliveryWait: time.Duration(c.deliveryNanos.Load()),
+	for i := range TenantCounters {
+		*TenantCounters[i].At(&s) = c.counters[i].Load()
 	}
+	s.QueueWait = c.queueWait.Snapshot()
+	return s
 }
 
 // Reset zeroes the counters and the wait histogram. Like Collector.Reset it
@@ -134,14 +153,8 @@ func (c *TenantCollector) Reset() {
 	if c == nil {
 		return
 	}
-	c.admitted.Store(0)
-	c.queued.Store(0)
-	c.shed.Store(0)
-	c.running.Store(0)
+	for i := range c.counters {
+		c.counters[i].Store(0)
+	}
 	c.queueWait.Reset()
-	c.compileNanos.Store(0)
-	c.throttleNanos.Store(0)
-	c.poolWaitNanos.Store(0)
-	c.readNanos.Store(0)
-	c.deliveryNanos.Store(0)
 }

@@ -292,9 +292,9 @@ func runChaosStress(t *testing.T, translation string) {
 		optSum += res.OptimisticHits
 	}
 	if translation == buffer.TranslationMap {
-		if optSum != 0 || ps.OptHits != 0 || cs.OptimisticHits != 0 {
+		if optSum != 0 || ps.OptimisticHits != 0 || cs.OptimisticHits != 0 {
 			t.Errorf("map translation recorded optimistic hits: scans %d, pool %d, collector %d",
-				optSum, ps.OptHits, cs.OptimisticHits)
+				optSum, ps.OptimisticHits, cs.OptimisticHits)
 		}
 		return
 	}
@@ -307,11 +307,11 @@ func runChaosStress(t *testing.T, translation string) {
 	// Scan workers are the only ReadOptimistic callers (prefetch stages
 	// pages through Acquire), so the pool's count must match the per-scan
 	// sum exactly, and every optimistic hit is also a hit.
-	if ps.OptHits != optSum {
-		t.Errorf("pool optimistic hits %d, per-scan sum %d", ps.OptHits, optSum)
+	if ps.OptimisticHits != optSum {
+		t.Errorf("pool optimistic hits %d, per-scan sum %d", ps.OptimisticHits, optSum)
 	}
-	if ps.OptHits > ps.Hits {
-		t.Errorf("optimistic hits %d exceed total hits %d", ps.OptHits, ps.Hits)
+	if ps.OptimisticHits > ps.Hits {
+		t.Errorf("optimistic hits %d exceed total hits %d", ps.OptimisticHits, ps.Hits)
 	}
 }
 

@@ -99,9 +99,9 @@ func (p *prefetcher) enqueue(pageAt func(i int) disk.PageID, from, to int) {
 	select {
 	case p.reqs <- prefetchReq{pageAt: pageAt, from: from, to: to, at: p.env.Now()}:
 		signal(p.wake)
-		p.col.PrefetchEnqueued()
+		p.col.Add(metrics.PrefetchEnqueued, 1)
 	default:
-		p.col.PrefetchDropped()
+		p.col.Add(metrics.PrefetchDropped, 1)
 	}
 }
 
@@ -130,7 +130,7 @@ func (p *prefetcher) worker() {
 		if len(p.reqs) > 0 {
 			signal(p.wake)
 		}
-		p.col.PrefetchPicked()
+		p.col.Add(metrics.PrefetchPicked, 1)
 		p.col.PrefetchDelayed(p.env.Now() - req.at)
 		for i := req.from; i < req.to; i++ {
 			p.fetch(req.pageAt(i))
@@ -181,7 +181,7 @@ func (p *prefetcher) fetch(pid disk.PageID) {
 		// Normal priority: the scan that asked for the extent is about
 		// to re-acquire the page and release it at the advised level.
 		p.pool.Release(pid, buffer.PriorityNormal)
-		p.col.PrefetchFilled()
+		p.col.Add(metrics.PrefetchFilled, 1)
 	case buffer.Busy:
 		// Someone is reading it right now; nothing left to stage.
 	case buffer.AllPinned:
@@ -198,5 +198,5 @@ func (p *prefetcher) markFailed(pid disk.PageID) {
 	}
 	p.failed[pid] = struct{}{}
 	p.mu.Unlock()
-	p.col.PrefetchFailed()
+	p.col.Add(metrics.PrefetchFailed, 1)
 }

@@ -8,6 +8,7 @@ import (
 
 	"scanshare/internal/core"
 	"scanshare/internal/disk"
+	"scanshare/internal/metrics"
 	"scanshare/internal/trace"
 )
 
@@ -408,7 +409,7 @@ func (h *pushHub) send(s *pushSub, view pushBatch) bool {
 	default:
 	}
 	cfg := &h.r.cfg
-	cfg.Collector.SubscriberStalled()
+	cfg.Collector.Add(metrics.SubscriberStalls, 1)
 	t0 := cfg.Env.Now()
 	sent := false
 	budget := s.stallBudget - s.stalled
@@ -438,7 +439,7 @@ func (h *pushHub) send(s *pushSub, view pushBatch) bool {
 	if h.ctx.Err() != nil || isGone(s.gone) {
 		return false // cancellation or departure; no demotion implied
 	}
-	cfg.Collector.PushDemoted()
+	cfg.Collector.Add(metrics.PushDemotions, 1)
 	h.closeSub(s, subDemoted, nil)
 	return false
 }
@@ -737,7 +738,7 @@ func (r *Runner) runPushScan(ctx context.Context, idx int, spec ScanSpec, hub *p
 				Page: int64(lo), Gap: int64(hi - lo), Peer: trace.NoID, Prio: -1,
 			})
 			res.PushBatches++
-			cfg.Collector.BatchPushed()
+			cfg.Collector.Add(metrics.BatchesPushed, 1)
 			for p := lo; p < hi; p++ {
 				if !accept(p, b.pages[p-b.start], false) {
 					return

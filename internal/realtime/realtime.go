@@ -30,7 +30,6 @@
 package realtime
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -99,13 +98,11 @@ type StoreFunc func(pid disk.PageID) ([]byte, error)
 func (f StoreFunc) ReadPage(pid disk.PageID) ([]byte, error) { return f(pid) }
 
 // ContextStore is an optional PageStore extension for stores whose reads
-// wait and tell retry attempts apart (fault.Store implements it). The runner
-// passes its context, Env, ReadTimeout and the attempt number, so an injected
-// stall or latency spike waits on the runner's clock and ends at the timeout.
-type ContextStore interface {
-	PageStore
-	ReadPageAt(ctx context.Context, env fault.Env, timeout time.Duration, pid disk.PageID, attempt int) ([]byte, error)
-}
+// wait and tell retry attempts apart (fault.Store and the engine's device
+// store implement it). The runner passes its context, Env, ReadTimeout and
+// the attempt number, so an injected stall, a latency spike or a modelled
+// transfer time waits on the runner's clock and ends at the timeout.
+type ContextStore = fault.AttemptReader
 
 // Config assembles the shared structures a Runner operates on and its
 // tuning knobs. Pool, Manager, and Store are required.

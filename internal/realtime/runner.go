@@ -9,6 +9,7 @@ import (
 	"scanshare/internal/buffer"
 	"scanshare/internal/core"
 	"scanshare/internal/disk"
+	"scanshare/internal/metrics"
 	"scanshare/internal/trace"
 )
 
@@ -133,7 +134,7 @@ func (r *Runner) beginScan(ctx context.Context, idx int, spec ScanSpec, hook fun
 		res.Err = err
 		return l, false
 	}
-	cfg.Collector.ScanStarted()
+	cfg.Collector.Add(metrics.ScansStarted, 1)
 	l.id, l.pl = id, pl
 	res.ID, res.Placement, res.Started = id, pl, cfg.Env.Now()
 
@@ -334,7 +335,7 @@ func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanCon
 		if data, ok := cfg.Pool.ReadOptimistic(pid); ok {
 			if !r.skipPageCount {
 				cfg.Collector.PageHit()
-				cfg.Collector.OptimisticHit()
+				cfg.Collector.Add(metrics.OptimisticHits, 1)
 			}
 			res.Hits++
 			res.OptimisticHits++
@@ -371,7 +372,7 @@ func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanCon
 					res.Stopped = true
 					return nil, fetchStop
 				}
-				cfg.Collector.PageFailed()
+				cfg.Collector.Add(metrics.PagesFailed, 1)
 				cfg.Tracer.Emit(trace.Event{
 					Kind: trace.KindPageFailed, Scan: int64(id), Page: int64(pid),
 					Peer: trace.NoID, Table: trace.NoID, Prio: -1,
@@ -398,7 +399,7 @@ func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanCon
 				}
 				return nil, out
 			}
-			cfg.Collector.BusyRetry()
+			cfg.Collector.Add(metrics.BusyRetries, 1)
 			res.BusyRetries++
 			hook(SiteBusy)
 			r.poolSleep(ctx, id, sc, cfg.BusyRetryDelay, res)
@@ -411,7 +412,7 @@ func (r *Runner) fetchPage(ctx context.Context, id core.ScanID, sc trace.SpanCon
 			// only frees when some scan releases one, which happens on
 			// a page-processing timescale, not an I/O one. Back off
 			// well past the busy delay instead of spinning.
-			cfg.Collector.BusyRetry()
+			cfg.Collector.Add(metrics.BusyRetries, 1)
 			res.BusyRetries++
 			hook(SiteBusy)
 			r.poolSleep(ctx, id, sc, allPinnedBackoff*cfg.BusyRetryDelay, res)
@@ -451,7 +452,7 @@ func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanCo
 	cfg := &r.cfg
 	// Counted before blocking, so tests can gate the leader's store read
 	// on the number of joined waiters.
-	cfg.Collector.ReadCoalesced()
+	cfg.Collector.Add(metrics.ReadsCoalesced, 1)
 	res.CoalescedReads++
 	cfg.Tracer.Emit(trace.Event{
 		Kind: trace.KindReadCoalesced, Scan: int64(id), Page: int64(pid),
@@ -475,9 +476,9 @@ func (r *Runner) waitFlight(ctx context.Context, id core.ScanID, sc trace.SpanCo
 		res.Stopped = true
 		return fetchStop, false
 	}
-	cfg.Collector.CoalescedFailure()
+	cfg.Collector.Add(metrics.CoalescedFailures, 1)
 	res.CoalescedFailures++
-	cfg.Collector.PageFailed()
+	cfg.Collector.Add(metrics.PagesFailed, 1)
 	cfg.Tracer.Emit(trace.Event{
 		Kind: trace.KindPageFailed, Scan: int64(id), Page: int64(pid),
 		Peer: trace.NoID, Table: trace.NoID, Prio: -1,
@@ -512,7 +513,7 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 				if rerr != nil && res.Err == nil {
 					res.Err = rerr
 				}
-				cfg.Collector.ScanRejoined()
+				cfg.Collector.Add(metrics.ScanRejoins, 1)
 				res.Rejoins++
 			}
 			return data, nil
@@ -521,7 +522,7 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 			return nil, err // run cancelled, not a device failure
 		}
 		if errors.Is(err, context.DeadlineExceeded) {
-			cfg.Collector.ReadTimedOut()
+			cfg.Collector.Add(metrics.ReadTimeouts, 1)
 			res.ReadTimeouts++
 		}
 		deg.consecutive++
@@ -534,13 +535,13 @@ func (r *Runner) readPage(ctx context.Context, id core.ScanID, pid disk.PageID, 
 			if derr != nil && res.Err == nil {
 				res.Err = derr
 			}
-			cfg.Collector.ScanDetached()
+			cfg.Collector.Add(metrics.ScanDetaches, 1)
 			res.Detaches++
 		}
 		if attempt >= cfg.MaxReadRetries {
 			return nil, err
 		}
-		cfg.Collector.ReadRetried()
+		cfg.Collector.Add(metrics.ReadRetries, 1)
 		res.ReadRetries++
 		hook(SiteRetry)
 		cfg.Env.Sleep(ctx, backoff)

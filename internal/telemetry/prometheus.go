@@ -6,7 +6,9 @@ import (
 	"io"
 	"net/http"
 	"sort"
+	"strconv"
 	"time"
+	"unsafe"
 
 	"scanshare/internal/buffer"
 	"scanshare/internal/metrics"
@@ -42,41 +44,16 @@ func WriteMetrics(w io.Writer, src Sources) {
 		cs = src.Collector.Snapshot()
 	}
 
-	counter := func(name, help string, v int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %d\n", name, help, name, name, v)
-	}
 	gauge := func(name, help string, v int64) {
 		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s gauge\n%s %d\n", name, help, name, name, v)
 	}
 
 	// Scan worker activity (the realtime collector).
-	counter("scanshare_pages_read_total", "Pages fetched and processed by scan workers.", cs.PagesRead)
-	counter("scanshare_page_hits_total", "Buffer pool hits observed by scan workers.", cs.Hits)
-	counter("scanshare_optimistic_hits_total", "Hits scan workers took over the pool's lock-free read path.", cs.OptimisticHits)
-	counter("scanshare_page_misses_total", "Buffer pool misses filled by scan workers.", cs.Misses)
-	counter("scanshare_busy_retries_total", "Acquire backoffs on in-flight reads or full shards.", cs.BusyRetries)
-	counter("scanshare_scans_started_total", "Scans registered with the sharing manager.", cs.ScansStarted)
-	counter("scanshare_scans_ended_total", "Scans deregistered.", cs.ScansEnded)
-	counter("scanshare_scans_stopped_total", "Scans terminated mid-flight.", cs.ScansStopped)
-	counter("scanshare_throttle_events_total", "SSM-inserted leader waits.", cs.ThrottleEvents)
-	seconds("scanshare_throttle_wait_seconds_total", "Total SSM-inserted wait time.", w, cs.ThrottleWait)
-	counter("scanshare_prefetch_enqueued_total", "Extents accepted into the prefetch queue.", cs.PrefetchEnqueued)
-	counter("scanshare_prefetch_picked_total", "Extents a prefetch worker started on.", cs.PrefetchPicked)
-	counter("scanshare_prefetch_dropped_total", "Extents dropped because the prefetch queue was full.", cs.PrefetchDropped)
-	counter("scanshare_prefetch_filled_total", "Pages prefetch workers brought into the pool.", cs.PrefetchFilled)
-	counter("scanshare_prefetch_failed_total", "Pages whose prefetch read failed.", cs.PrefetchFailed)
-	counter("scanshare_reads_coalesced_total", "Misses that joined another caller's in-flight read.", cs.ReadsCoalesced)
-	counter("scanshare_coalesced_failures_total", "Coalesced waits that inherited the leader's read error.", cs.CoalescedFailures)
-	counter("scanshare_read_retries_total", "Store read attempts retried after an error or timeout.", cs.ReadRetries)
-	counter("scanshare_read_timeouts_total", "Store reads that exceeded the per-read timeout.", cs.ReadTimeouts)
-	counter("scanshare_pages_failed_total", "Pages declared failed after exhausting retries.", cs.PagesFailed)
-	counter("scanshare_scan_detaches_total", "Scans detached from group coordination.", cs.ScanDetaches)
-	counter("scanshare_scan_rejoins_total", "Detached scans re-admitted.", cs.ScanRejoins)
-	counter("scanshare_batches_pushed_total", "Page batches accepted by push-delivery subscribers.", cs.BatchesPushed)
-	counter("scanshare_subscriber_stalls_total", "Push reader blocks on a full subscriber channel.", cs.SubscriberStalls)
-	counter("scanshare_push_demotions_total", "Subscribers demoted to self-pulling after exhausting the stall budget.", cs.PushDemotions)
-	counter("scanshare_shared_agg_folds_total", "Tuple folds into a shared (cross-consumer) aggregation table.", cs.SharedAggFolds)
-	counter("scanshare_trace_dropped_total", "Events the trace ring discarded because it was full.", cs.TraceDropped)
+	for i := range metrics.CollectorCounters {
+		d := &metrics.CollectorCounters[i]
+		declare(w, d.Name, d.Help, d.Kind.PromType())
+		fmt.Fprintf(w, "%s %s\n", d.Name, value(d.Kind, *d.At(&cs)))
+	}
 	gauge("scanshare_prefetch_queue_depth", "Extents currently waiting in the prefetch queue.", cs.PrefetchQueueDepth())
 
 	// Latency distributions as summaries.
@@ -116,19 +93,20 @@ func writeTenants(w io.Writer, tenants []metrics.TenantStats) {
 	if len(tenants) == 0 {
 		return
 	}
-	tenantCounter := func(name, help string, field func(metrics.TenantStats) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, t := range tenants {
-			fmt.Fprintf(w, "%s{tenant=%q} %d\n", name, t.Name, field(t))
+	family := func(d *metrics.Desc[metrics.TenantStats]) {
+		declare(w, d.Name, d.Help, d.Kind.PromType())
+		for i := range tenants {
+			fmt.Fprintf(w, "%s{tenant=%q} %s\n", d.Name, tenants[i].Name, value(d.Kind, *d.At(&tenants[i])))
 		}
 	}
-	tenantCounter("scanshare_tenant_admitted_total", "Requests granted an execution slot.", func(t metrics.TenantStats) int64 { return t.Admitted })
-	tenantCounter("scanshare_tenant_queued_total", "Requests that waited in the admission FIFO before a slot freed.", func(t metrics.TenantStats) int64 { return t.Queued })
-	tenantCounter("scanshare_tenant_shed_total", "Requests rejected because the admission queue was at its depth limit.", func(t metrics.TenantStats) int64 { return t.Shed })
-
-	fmt.Fprintf(w, "# HELP scanshare_tenant_running Requests currently holding an execution slot.\n# TYPE scanshare_tenant_running gauge\n")
-	for _, t := range tenants {
-		fmt.Fprintf(w, "scanshare_tenant_running{tenant=%q} %d\n", t.Name, t.Running)
+	// The admission counters and the running gauge, then the queue-wait
+	// summary, then the latency breakdown: cumulative seconds per
+	// component, the live counterpart of the span assembler's per-query
+	// attribution.
+	for i := range metrics.TenantCounters {
+		if d := &metrics.TenantCounters[i]; d.Kind != metrics.KindSeconds {
+			family(d)
+		}
 	}
 
 	fmt.Fprintf(w, "# HELP scanshare_tenant_queue_wait_seconds Admission-queue wait of admitted requests.\n# TYPE scanshare_tenant_queue_wait_seconds summary\n")
@@ -145,19 +123,11 @@ func writeTenants(w io.Writer, tenants []metrics.TenantStats) {
 		fmt.Fprintf(w, "scanshare_tenant_queue_wait_seconds_count{tenant=%q} %d\n", t.Name, t.QueueWait.Count)
 	}
 
-	// Per-tenant latency breakdown: cumulative seconds per component, the
-	// live counterpart of the span assembler's per-query attribution.
-	tenantSeconds := func(name, help string, field func(metrics.TenantStats) time.Duration) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, t := range tenants {
-			fmt.Fprintf(w, "%s{tenant=%q} %s\n", name, t.Name, formatFloat(field(t).Seconds()))
+	for i := range metrics.TenantCounters {
+		if d := &metrics.TenantCounters[i]; d.Kind == metrics.KindSeconds {
+			family(d)
 		}
 	}
-	tenantSeconds("scanshare_tenant_compile_seconds_total", "SQL parse and plan time of the tenant's requests.", func(t metrics.TenantStats) time.Duration { return t.CompileWait })
-	tenantSeconds("scanshare_tenant_throttle_wait_seconds_total", "SSM-inserted sleeps inside the tenant's scans.", func(t metrics.TenantStats) time.Duration { return t.ThrottleWait })
-	tenantSeconds("scanshare_tenant_pool_wait_seconds_total", "Buffer-pool contention waits inside the tenant's scans.", func(t metrics.TenantStats) time.Duration { return t.PoolWait })
-	tenantSeconds("scanshare_tenant_read_wait_seconds_total", "Physical page-read time inside the tenant's scans.", func(t metrics.TenantStats) time.Duration { return t.ReadWait })
-	tenantSeconds("scanshare_tenant_delivery_wait_seconds_total", "Push-delivery batch-channel waits inside the tenant's scans.", func(t metrics.TenantStats) time.Duration { return t.DeliveryWait })
 }
 
 // poolLabel renders the pool-name label value; the default pool's empty
@@ -167,6 +137,20 @@ func poolLabel(name string) string {
 		return "default"
 	}
 	return name
+}
+
+// poolCounters declares the per-pool counter families over the shards'
+// aggregated buffer.Stats, in exposition order; one sample per pool.
+var poolCounters = [...]metrics.Desc[buffer.Stats]{
+	{Name: "scanshare_pool_logical_reads_total", Help: "Pool acquires that returned hit or miss.", Off: unsafe.Offsetof(buffer.Stats{}.LogicalReads)},
+	{Name: "scanshare_pool_hits_total", Help: "Pool acquires served from a resident frame.", Off: unsafe.Offsetof(buffer.Stats{}.Hits)},
+	{Name: "scanshare_pool_misses_total", Help: "Pool acquires that reserved a frame for a physical read.", Off: unsafe.Offsetof(buffer.Stats{}.Misses)},
+	{Name: "scanshare_pool_aborts_total", Help: "Misses whose physical read failed.", Off: unsafe.Offsetof(buffer.Stats{}.Aborts)},
+	{Name: "scanshare_pool_busy_retries_total", Help: "Pool acquires that returned busy.", Off: unsafe.Offsetof(buffer.Stats{}.BusyRetries)},
+	{Name: "scanshare_pool_all_pinned_total", Help: "Pool acquires that found every frame pinned.", Off: unsafe.Offsetof(buffer.Stats{}.AllPinned)},
+	{Name: "scanshare_pool_optimistic_hits_total", Help: "Hits served by the lock-free optimistic read path (array translation).", Off: unsafe.Offsetof(buffer.Stats{}.OptimisticHits)},
+	{Name: "scanshare_pool_optimistic_retries_total", Help: "Optimistic read validations that failed and retried.", Off: unsafe.Offsetof(buffer.Stats{}.OptimisticRetries)},
+	{Name: "scanshare_pool_optimistic_fallbacks_total", Help: "Optimistic reads that fell back to the locked path.", Off: unsafe.Offsetof(buffer.Stats{}.OptimisticFallbacks)},
 }
 
 // writePools renders the per-pool counter and gauge families. Each family
@@ -206,25 +190,17 @@ func writePools(w io.Writer, pools []PoolSource) {
 		states = append(states, st)
 	}
 
-	poolCounter := func(name, help string, field func(buffer.Stats) int64) {
-		fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n", name, help, name)
-		for _, st := range states {
-			fmt.Fprintf(w, "%s{pool=%q} %d\n", name, st.name, field(st.agg))
+	for i := range poolCounters {
+		d := &poolCounters[i]
+		declare(w, d.Name, d.Help, d.Kind.PromType())
+		for j := range states {
+			fmt.Fprintf(w, "%s{pool=%q} %d\n", d.Name, states[j].name, *d.At(&states[j].agg))
 		}
 	}
-	poolCounter("scanshare_pool_logical_reads_total", "Pool acquires that returned hit or miss.", func(s buffer.Stats) int64 { return s.LogicalReads })
-	poolCounter("scanshare_pool_hits_total", "Pool acquires served from a resident frame.", func(s buffer.Stats) int64 { return s.Hits })
-	poolCounter("scanshare_pool_misses_total", "Pool acquires that reserved a frame for a physical read.", func(s buffer.Stats) int64 { return s.Misses })
-	poolCounter("scanshare_pool_aborts_total", "Misses whose physical read failed.", func(s buffer.Stats) int64 { return s.Aborts })
-	poolCounter("scanshare_pool_busy_retries_total", "Pool acquires that returned busy.", func(s buffer.Stats) int64 { return s.BusyRetries })
-	poolCounter("scanshare_pool_all_pinned_total", "Pool acquires that found every frame pinned.", func(s buffer.Stats) int64 { return s.AllPinned })
-	poolCounter("scanshare_pool_optimistic_hits_total", "Hits served by the lock-free optimistic read path (array translation).", func(s buffer.Stats) int64 { return s.OptHits })
-	poolCounter("scanshare_pool_optimistic_retries_total", "Optimistic read validations that failed and retried.", func(s buffer.Stats) int64 { return s.OptRetries })
-	poolCounter("scanshare_pool_optimistic_fallbacks_total", "Optimistic reads that fell back to the locked path.", func(s buffer.Stats) int64 { return s.OptFallbacks })
 
 	fmt.Fprintf(w, "# HELP scanshare_pool_evictions_total Frames victimized, by the priority the page was released at.\n# TYPE scanshare_pool_evictions_total counter\n")
 	for _, st := range states {
-		for pr, n := range st.agg.EvictionsByPr {
+		for pr, n := range st.agg.EvictionsByPriority {
 			fmt.Fprintf(w, "scanshare_pool_evictions_total{pool=%q,priority=%q} %d\n",
 				st.name, buffer.Priority(pr).String(), n)
 		}
@@ -262,9 +238,18 @@ func writePools(w io.Writer, pools []PoolSource) {
 	}
 }
 
-// seconds renders one float counter of accumulated seconds.
-func seconds(name, help string, w io.Writer, d time.Duration) {
-	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s counter\n%s %s\n", name, help, name, name, formatFloat(d.Seconds()))
+// declare writes the HELP and TYPE lines that open a metric family.
+func declare(w io.Writer, name, help, typ string) {
+	fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", name, help, name, typ)
+}
+
+// value renders one declared counter's sample value: accumulated
+// nanoseconds as float seconds, everything else as an integer.
+func value(k metrics.Kind, v int64) string {
+	if k == metrics.KindSeconds {
+		return formatFloat(time.Duration(v).Seconds())
+	}
+	return strconv.FormatInt(v, 10)
 }
 
 // summary renders one latency distribution as a Prometheus summary:

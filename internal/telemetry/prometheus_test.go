@@ -6,6 +6,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -30,25 +31,25 @@ func goldenSources() Sources {
 		col.PageMiss()
 		col.PageReadTimed(2 * time.Millisecond)
 	}
-	col.BusyRetry()
-	col.ScanStarted()
-	col.ScanStarted()
+	col.Add(metrics.BusyRetries, 1)
+	col.Add(metrics.ScansStarted, 1)
+	col.Add(metrics.ScansStarted, 1)
 	col.ScanEnded(false)
 	col.Throttled(10 * time.Millisecond)
 	col.Throttled(30 * time.Millisecond)
-	col.PrefetchEnqueued()
-	col.PrefetchEnqueued()
-	col.PrefetchEnqueued()
-	col.PrefetchPicked()
+	col.Add(metrics.PrefetchEnqueued, 1)
+	col.Add(metrics.PrefetchEnqueued, 1)
+	col.Add(metrics.PrefetchEnqueued, 1)
+	col.Add(metrics.PrefetchPicked, 1)
 	col.PrefetchDelayed(500 * time.Microsecond)
-	col.PrefetchFilled()
-	col.ReadCoalesced()
-	col.ScanDetached()
-	col.ScanRejoined()
+	col.Add(metrics.PrefetchFilled, 1)
+	col.Add(metrics.ReadsCoalesced, 1)
+	col.Add(metrics.ScanDetaches, 1)
+	col.Add(metrics.ScanRejoins, 1)
 
 	mainStats := buffer.Stats{LogicalReads: 100, Hits: 60, Misses: 40, Evictions: 12}
-	mainStats.EvictionsByPr[buffer.PriorityEvict] = 9
-	mainStats.EvictionsByPr[buffer.PriorityLow] = 3
+	mainStats.EvictionsByPriority[buffer.PriorityEvict] = 9
+	mainStats.EvictionsByPriority[buffer.PriorityLow] = 3
 	sideStats := buffer.Stats{LogicalReads: 10, Hits: 10}
 
 	snap := core.Snapshot{
@@ -72,13 +73,13 @@ func goldenSources() Sources {
 					half := mainStats
 					half.LogicalReads, half.Hits, half.Misses = 50, 30, 20
 					half.Evictions = 6
-					half.EvictionsByPr[buffer.PriorityEvict] = 4
-					half.EvictionsByPr[buffer.PriorityLow] = 2
+					half.EvictionsByPriority[buffer.PriorityEvict] = 4
+					half.EvictionsByPriority[buffer.PriorityLow] = 2
 					other := mainStats
 					other.LogicalReads, other.Hits, other.Misses = 50, 30, 20
 					other.Evictions = 6
-					other.EvictionsByPr[buffer.PriorityEvict] = 5
-					other.EvictionsByPr[buffer.PriorityLow] = 1
+					other.EvictionsByPriority[buffer.PriorityEvict] = 5
+					other.EvictionsByPriority[buffer.PriorityLow] = 1
 					return []buffer.Stats{half, other}
 				},
 				Occupancy: func() []int { return []int{70, 50} },
@@ -175,6 +176,62 @@ func TestWriteMetricsFormat(t *testing.T) {
 			t.Errorf("missing metric family %s", want)
 		}
 	}
+}
+
+// TestDeclaredCountersRenderOnce checks the counter tables against the
+// exposition: each row of the collector's, the tenant collector's and the
+// pools' tables renders exactly one HELP line with its help text and one
+// TYPE line of its kind, and every pool row reads an int64 field of
+// buffer.Stats that no other row reads.
+func TestDeclaredCountersRenderOnce(t *testing.T) {
+	src := goldenSources()
+	src.Tenants = func() []metrics.TenantStats { return []metrics.TenantStats{{Name: "a"}, {Name: "b"}} }
+	var buf bytes.Buffer
+	WriteMetrics(&buf, src)
+	out := buf.String()
+	once := func(name, help string, kind metrics.Kind) {
+		t.Helper()
+		if n := strings.Count(out, "# HELP "+name+" "); n != 1 {
+			t.Errorf("%s: %d HELP lines, want 1", name, n)
+		}
+		if !strings.Contains(out, "# HELP "+name+" "+help+"\n") {
+			t.Errorf("%s: HELP text %q not rendered", name, help)
+		}
+		if n := strings.Count(out, "# TYPE "+name+" "); n != 1 {
+			t.Errorf("%s: %d TYPE lines, want 1", name, n)
+		}
+		if !strings.Contains(out, "# TYPE "+name+" "+kind.PromType()+"\n") {
+			t.Errorf("%s: TYPE is not %s", name, kind.PromType())
+		}
+	}
+	for _, d := range metrics.CollectorCounters {
+		once(d.Name, d.Help, d.Kind)
+	}
+	for _, d := range metrics.TenantCounters {
+		once(d.Name, d.Help, d.Kind)
+	}
+	read := map[uintptr]string{}
+	for _, d := range poolCounters {
+		once(d.Name, d.Help, d.Kind)
+		if prev, dup := read[d.Off]; dup {
+			t.Errorf("pool rows %s and %s read the same field", prev, d.Name)
+		}
+		read[d.Off] = d.Name
+		f, ok := fieldAtOffset(reflect.TypeFor[buffer.Stats](), d.Off)
+		if !ok || f.Type.Kind() != reflect.Int64 {
+			t.Errorf("pool row %s does not read an int64 field of buffer.Stats", d.Name)
+		}
+	}
+}
+
+// fieldAtOffset returns the field of struct type typ that starts at off.
+func fieldAtOffset(typ reflect.Type, off uintptr) (reflect.StructField, bool) {
+	for i := 0; i < typ.NumField(); i++ {
+		if f := typ.Field(i); f.Offset == off {
+			return f, true
+		}
+	}
+	return reflect.StructField{}, false
 }
 
 // TestHandler exercises the HTTP wrapper: content type and a 200 with the

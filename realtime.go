@@ -90,28 +90,20 @@ type FaultPlan struct {
 	Rules []FaultRule
 }
 
-// FaultStats summarizes the faults a plan actually injected during one run.
-type FaultStats struct {
-	// Reads counts read attempts that reached the fault layer.
-	Reads int64
-	// InjectedErrors, LatencyEvents, Stalls, and TornReads count served
-	// faults by kind.
-	InjectedErrors int64
-	LatencyEvents  int64
-	Stalls         int64
-	TornReads      int64
-	// InjectedLatency is the total delay added by latency faults.
-	InjectedLatency time.Duration
-}
+// FaultStats summarizes the faults a plan actually injected during one run:
+// read attempts that reached the fault layer, served faults by kind, and
+// the total delay latency faults added.
+type FaultStats = fault.Counters
 
 // RealtimeOptions tunes RunRealtime.
 type RealtimeOptions struct {
 	// PrefetchWorkers sets the read-ahead worker pool size; 0 disables
 	// prefetching.
 	PrefetchWorkers int
-	// PageReadDelay is a wall-clock sleep charged per physical page read,
+	// PageReadDelay is a wall-clock wait charged per physical page read,
 	// standing in for device transfer time (the virtual-time disk cost
-	// model does not apply in this mode).
+	// model does not apply in this mode). Cancelling ctx and ReadTimeout
+	// both cut it.
 	PageReadDelay time.Duration
 
 	// PushDelivery switches scan execution from pull to push: one reader
@@ -228,15 +220,27 @@ func (e *Engine) compilePlan(p *FaultPlan) (fault.Plan, error) {
 // rtStore adapts the simulated device to the realtime page-store interface:
 // contents come from the same backing pages the virtual-time mode reads, but
 // through ReadRaw, so wall-clock reads never disturb the device's
-// virtual-time head position or busy window.
+// virtual-time head position or busy window. The modelled transfer time,
+// delay, is waited on the runner's Env, so cancellation and the read
+// timeout cut it like any other wait.
 type rtStore struct {
 	dev   *disk.Device
 	delay time.Duration
 }
 
+// ReadPage reads pid on the wall clock with no bound; the runner calls
+// ReadPageAt.
 func (s rtStore) ReadPage(pid disk.PageID) ([]byte, error) {
+	return s.ReadPageAt(context.Background(), fault.WallEnv{}, 0, pid, 0)
+}
+
+// ReadPageAt waits out the transfer time on env, for at most timeout and
+// until ctx ends, then reads pid.
+func (s rtStore) ReadPageAt(ctx context.Context, env fault.Env, timeout time.Duration, pid disk.PageID, _ int) ([]byte, error) {
 	if s.delay > 0 {
-		time.Sleep(s.delay)
+		if err := fault.Wait(ctx, env, s.delay, timeout); err != nil {
+			return nil, fmt.Errorf("scanshare: read of page %d: %w", pid, err)
+		}
 	}
 	return s.dev.ReadRaw(pid)
 }
@@ -349,7 +353,8 @@ func (e *Engine) RunRealtime(ctx context.Context, opts RealtimeOptions, scans []
 	errs := make([]error, len(batches))
 	bi := 0
 	for _, b := range batches {
-		b, bi := b, bi
+		errp := &errs[bi]
+		bi++
 		runner, err := realtime.NewRunner(realtime.Config{
 			Pool:                  b.rt.pool,
 			Manager:               b.rt.ssm,
@@ -373,14 +378,13 @@ func (e *Engine) RunRealtime(ctx context.Context, opts RealtimeOptions, scans []
 			defer wg.Done()
 			results, err := runner.Run(ctx, b.specs)
 			if err != nil {
-				errs[bi] = fmt.Errorf("pool %q: %w", b.rt.name, err)
+				*errp = fmt.Errorf("pool %q: %w", b.rt.name, err)
 			}
 			for j, res := range results {
 				res.Scan = b.indices[j]
 				report.Results[b.indices[j]] = res
 			}
 		}()
-		bi++
 	}
 	wg.Wait()
 	if err := errors.Join(errs...); err != nil {
@@ -393,21 +397,13 @@ func (e *Engine) RunRealtime(ctx context.Context, opts RealtimeOptions, scans []
 	}
 	report.Counters = col.Snapshot()
 	if faultStore != nil {
-		c := faultStore.Counters()
-		report.Faults = FaultStats{
-			Reads:           c.Reads,
-			InjectedErrors:  c.InjectedErrors,
-			LatencyEvents:   c.LatencyEvents,
-			Stalls:          c.Stalls,
-			TornReads:       c.TornReads,
-			InjectedLatency: c.InjectedLatency,
-		}
+		report.Faults = faultStore.Counters()
 	}
 	for name, rt := range e.pools {
 		if delta := poolDeltaShards(rt.pool.ShardStats(), poolsBefore[name]); delta.LogicalReads > 0 || delta.Evictions > 0 {
 			report.Pools[name] = delta
 		}
-		report.Sharing = report.Sharing.add(sharingStats(rt.ssm.Stats()))
+		report.Sharing.Add(rt.ssm.Stats())
 	}
 	return report, nil
 }

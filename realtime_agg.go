@@ -219,7 +219,7 @@ func (e *Engine) RunRealtimeAggregates(ctx context.Context, opts RealtimeOptions
 		out.SharedAggFolds += st.Folds()
 	}
 	if out.SharedAggFolds > 0 {
-		opts.Collector.SharedAggFolded(out.SharedAggFolds)
+		opts.Collector.Add(metrics.SharedAggFolds, out.SharedAggFolds)
 		out.Counters = opts.Collector.Snapshot()
 	}
 	return out, nil

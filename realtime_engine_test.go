@@ -2,6 +2,7 @@ package scanshare_test
 
 import (
 	"context"
+	"errors"
 	"testing"
 	"time"
 
@@ -116,5 +117,52 @@ func TestRunRealtimeValidation(t *testing.T) {
 	}
 	if _, err := other.RunRealtime(ctx, scanshare.RealtimeOptions{}, []scanshare.RealtimeScan{{Table: tbl}}); err == nil {
 		t.Error("foreign table accepted")
+	}
+}
+
+// TestRunRealtimePageReadDelayIsCancellable checks that the modelled
+// transfer time of a physical read is a wait that ends with the run: a
+// cancelled context and the read timeout both cut it, with and without a
+// fault plan wrapped around the store.
+func TestRunRealtimePageReadDelayIsCancellable(t *testing.T) {
+	eng, tbl := newEngine(t, 64, 4000)
+	noFault := &scanshare.FaultPlan{Seed: 1, Rules: []scanshare.FaultRule{
+		{Kind: scanshare.FaultError, Table: tbl, FirstPage: tbl.NumPages() - 1, Prob: 1},
+	}}
+	for _, tc := range []struct {
+		name    string
+		faults  *scanshare.FaultPlan
+		timeout time.Duration
+	}{
+		{"cancel", nil, 0},
+		{"cancel/faults", noFault, 0},
+		{"timeout", nil, 20 * time.Millisecond},
+		{"timeout/faults", noFault, 20 * time.Millisecond},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ctx, cancel := context.WithCancel(context.Background())
+			defer cancel()
+			if tc.timeout == 0 {
+				time.AfterFunc(20*time.Millisecond, cancel)
+			}
+			opts := scanshare.RealtimeOptions{PageReadDelay: 2 * time.Second, Faults: tc.faults, ReadTimeout: tc.timeout}
+			start := time.Now()
+			rep, err := eng.RunRealtime(ctx, opts, []scanshare.RealtimeScan{{Table: tbl}})
+			if took := time.Since(start); took >= time.Second {
+				t.Fatalf("RunRealtime returned after %v; the page-read delay was not cut", took)
+			}
+			if tc.timeout > 0 {
+				if !errors.Is(err, context.DeadlineExceeded) {
+					t.Errorf("err = %v, want the read timeout", err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res := rep.Results[0]; !res.Stopped {
+				t.Errorf("cancelled scan not reported stopped: %+v", res)
+			}
+		})
 	}
 }

@@ -50,49 +50,27 @@ type DiskStats struct {
 	QueueWait time.Duration
 }
 
-// PoolStats summarizes buffer pool activity during a Run.
+// PoolStats summarizes buffer pool activity during a Run. Its counters are
+// the pool's own (buffer.Stats, promoted): LogicalReads, Hits, Misses,
+// Aborts (misses whose physical read failed; they delivered no page and are
+// excluded from HitRatio's denominator), Fills, BusyRetries (acquires that
+// backed off on an in-flight read or a full shard), AllPinned (acquires
+// that found every frame of the page's shard pinned), Evictions, and the
+// lock-free read path's OptimisticHits, OptimisticRetries and
+// OptimisticFallbacks (all zero under map translation).
+//
+// EvictionsByPriority breaks Evictions down by the priority the victim was
+// released at, indexed by buffer.Priority (evict, low, normal, high). A
+// healthy grouped run victimizes the trailer's evict/low levels almost
+// exclusively — the paper's direct evidence that priority-tagged releases
+// protect the pages the group still needs.
 type PoolStats struct {
-	LogicalReads int64
-	Hits         int64
-	Misses       int64
-	// Aborts counts misses whose physical read failed; they delivered no
-	// page and are excluded from the hit-ratio denominator.
-	Aborts int64
-	// BusyRetries counts acquires that backed off on an in-flight read or
-	// a full shard; AllPinned counts acquires that found every frame of
-	// the page's shard pinned. Together they are the pool-side contention
-	// signal the sharding experiment watches.
-	BusyRetries int64
-	AllPinned   int64
-	Evictions   int64
-	// OptimisticHits is the subset of Hits served by the lock-free read
-	// path (array translation); OptimisticRetries counts validation
-	// failures inside that path and OptimisticFallbacks the attempts that
-	// gave up and took the locked path. All zero under map translation.
-	OptimisticHits      int64
-	OptimisticRetries   int64
-	OptimisticFallbacks int64
-	// EvictionsByPriority breaks Evictions down by the priority the victim
-	// was released at, indexed by buffer.Priority (evict, low, normal,
-	// high). A healthy grouped run victimizes the trailer's evict/low
-	// levels almost exclusively — the paper's direct evidence that
-	// priority-tagged releases protect the pages the group still needs.
-	EvictionsByPriority [buffer.NumPriorities]int64
+	buffer.Stats
 	// Shards is the pool's lock-stripe count; PerShard breaks the counters
 	// down per stripe (nil for a single-shard pool, where the aggregate is
 	// the whole story).
 	Shards   int
 	PerShard []PoolStats
-}
-
-// HitRatio returns the fraction of delivered pages served from the pool
-// (aborted misses delivered nothing and are excluded).
-func (p PoolStats) HitRatio() float64 {
-	delivered := p.LogicalReads - p.Aborts
-	if delivered <= 0 {
-		return 0
-	}
-	return float64(p.Hits) / float64(delivered)
 }
 
 // EvictionBreakdown renders the per-priority eviction counts as e.g.
@@ -110,18 +88,7 @@ func (p PoolStats) EvictionBreakdown() string {
 
 // SharingStats summarizes scan sharing manager activity (cumulative over the
 // engine's lifetime; the SSM is global state like the pool).
-type SharingStats struct {
-	ScansStarted       int64
-	ScansFinished      int64
-	JoinPlacements     int64
-	TrailPlacements    int64
-	ResidualPlacements int64
-	ColdPlacements     int64
-	ThrottleEvents     int64
-	ThrottleTime       time.Duration
-	FairnessExemptions int64
-	ProgressReports    int64
-}
+type SharingStats = core.Stats
 
 // DiskSample is one bucket of the reads/seeks-over-time series, offset from
 // the beginning of the Run.
@@ -144,22 +111,6 @@ type Report struct {
 	Pools      map[string]PoolStats
 	Sharing    SharingStats
 	DiskSeries []DiskSample
-}
-
-// add returns the element-wise sum of two sharing stats.
-func (s SharingStats) add(o SharingStats) SharingStats {
-	return SharingStats{
-		ScansStarted:       s.ScansStarted + o.ScansStarted,
-		ScansFinished:      s.ScansFinished + o.ScansFinished,
-		JoinPlacements:     s.JoinPlacements + o.JoinPlacements,
-		TrailPlacements:    s.TrailPlacements + o.TrailPlacements,
-		ResidualPlacements: s.ResidualPlacements + o.ResidualPlacements,
-		ColdPlacements:     s.ColdPlacements + o.ColdPlacements,
-		ThrottleEvents:     s.ThrottleEvents + o.ThrottleEvents,
-		ThrottleTime:       s.ThrottleTime + o.ThrottleTime,
-		FairnessExemptions: s.FairnessExemptions + o.FairnessExemptions,
-		ProgressReports:    s.ProgressReports + o.ProgressReports,
-	}
 }
 
 // PerStream returns each stream's end-to-end time: from its first job's
@@ -257,82 +208,24 @@ func diskDelta(s disk.Stats) DiskStats {
 	}
 }
 
-// poolDelta converts internal pool stats, as the delta after-before.
-func poolDelta(after, before buffer.Stats) PoolStats {
-	out := PoolStats{
-		LogicalReads: after.LogicalReads - before.LogicalReads,
-		Hits:         after.Hits - before.Hits,
-		Misses:       after.Misses - before.Misses,
-		Aborts:       after.Aborts - before.Aborts,
-		BusyRetries:  after.BusyRetries - before.BusyRetries,
-		AllPinned:    after.AllPinned - before.AllPinned,
-		Evictions:    after.Evictions - before.Evictions,
-
-		OptimisticHits:      after.OptHits - before.OptHits,
-		OptimisticRetries:   after.OptRetries - before.OptRetries,
-		OptimisticFallbacks: after.OptFallbacks - before.OptFallbacks,
-	}
-	for i := range out.EvictionsByPriority {
-		out.EvictionsByPriority[i] = after.EvictionsByPr[i] - before.EvictionsByPr[i]
-	}
-	return out
-}
-
-// add accumulates o's counters into p (PerShard and Shards excluded).
-func (p *PoolStats) add(o PoolStats) {
-	p.LogicalReads += o.LogicalReads
-	p.Hits += o.Hits
-	p.Misses += o.Misses
-	p.Aborts += o.Aborts
-	p.BusyRetries += o.BusyRetries
-	p.AllPinned += o.AllPinned
-	p.Evictions += o.Evictions
-	p.OptimisticHits += o.OptimisticHits
-	p.OptimisticRetries += o.OptimisticRetries
-	p.OptimisticFallbacks += o.OptimisticFallbacks
-	for i := range p.EvictionsByPriority {
-		p.EvictionsByPriority[i] += o.EvictionsByPriority[i]
-	}
-}
-
 // poolDeltaShards converts per-shard pool snapshots (delta after-before) into
 // one PoolStats: the aggregate counters plus, for multi-shard pools, the
 // per-shard breakdown. A nil before means "since zero". The aggregate is
 // exact: it is the sum of per-shard deltas, each taken under that shard's
 // own lock.
 func poolDeltaShards(after, before []buffer.Stats) PoolStats {
-	var out PoolStats
-	out.Shards = len(after)
+	out := PoolStats{Shards: len(after)}
 	if len(after) > 1 {
 		out.PerShard = make([]PoolStats, len(after))
 	}
-	for i, a := range after {
-		var b buffer.Stats
+	for i, d := range after {
 		if i < len(before) {
-			b = before[i]
+			d = d.Sub(before[i])
 		}
-		d := poolDelta(a, b)
-		out.add(d)
+		out.Add(d)
 		if out.PerShard != nil {
-			d.Shards = 1
-			out.PerShard[i] = d
+			out.PerShard[i] = PoolStats{Stats: d, Shards: 1}
 		}
 	}
 	return out
-}
-
-// sharingStats converts internal SSM stats.
-func sharingStats(s core.Stats) SharingStats {
-	return SharingStats{
-		ScansStarted:       s.ScansStarted,
-		ScansFinished:      s.ScansFinished,
-		JoinPlacements:     s.JoinPlacements,
-		TrailPlacements:    s.TrailPlacements,
-		ResidualPlacements: s.ResidualPlacements,
-		ColdPlacements:     s.ColdPlacements,
-		ThrottleEvents:     s.ThrottleEvents,
-		ThrottleTime:       s.ThrottleTime,
-		FairnessExemptions: s.FairnessExemptions,
-		ProgressReports:    s.ProgressReports,
-	}
 }

@@ -1,8 +1,10 @@
 package scanshare_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
+	"time"
 
 	"scanshare"
 )
@@ -25,11 +27,13 @@ func TestPoolStatsEvictionBreakdown(t *testing.T) {
 // TestPoolStatsHitRatioExcludesAborts checks that aborted misses (reads that
 // delivered no page) do not dilute the hit ratio.
 func TestPoolStatsHitRatioExcludesAborts(t *testing.T) {
-	ps := scanshare.PoolStats{LogicalReads: 10, Hits: 4, Misses: 6, Aborts: 2}
+	var ps scanshare.PoolStats
+	ps.LogicalReads, ps.Hits, ps.Misses, ps.Aborts = 10, 4, 6, 2
 	if got := ps.HitRatio(); got != 0.5 {
 		t.Errorf("HitRatio = %v, want 0.5 (4 hits / 8 delivered)", got)
 	}
-	all := scanshare.PoolStats{LogicalReads: 3, Aborts: 3}
+	var all scanshare.PoolStats
+	all.LogicalReads, all.Aborts = 3, 3
 	if got := all.HitRatio(); got != 0 {
 		t.Errorf("all-aborted HitRatio = %v, want 0", got)
 	}
@@ -74,5 +78,71 @@ func TestReportSurfacesEvictionsByPriority(t *testing.T) {
 	}
 	if !strings.Contains(out, rep.Pool.EvictionBreakdown()) {
 		t.Errorf("Summary lacks breakdown %q:\n%s", rep.Pool.EvictionBreakdown(), out)
+	}
+}
+
+// TestReportPoolSumsPools checks that Report.Pool is the field-wise sum of
+// Report.Pools over every counter, so no counter is dropped from the total.
+// The sum here is taken by reflection, independently of the report's own.
+func TestReportPoolSumsPools(t *testing.T) {
+	eng, err := scanshare.New(scanshare.Config{
+		BufferPoolPages: 8,
+		Pools:           []scanshare.PoolConfig{{Name: "side", Pages: 8, Shards: 2}},
+		Disk:            scanshare.DiskConfig{PageSize: 1024},
+		Sharing:         scanshare.SharingConfig{PrefetchExtentPages: 4, MinSharePages: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var jobs []scanshare.Job
+	for _, pool := range []string{"", "side"} {
+		tbl, err := eng.LoadTableInPool("t_"+pool, pool, demoSchema(), func(add func(scanshare.Tuple) error) error {
+			for i := 0; i < 1500; i++ {
+				if err := add(scanshare.Tuple{
+					scanshare.Int64(int64(i)), scanshare.Float64(1), scanshare.String("x"), scanshare.Date(0),
+				}); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		q := scanshare.NewQuery(tbl).CountAll()
+		jobs = append(jobs, scanshare.Job{Query: q}, scanshare.Job{Query: q, Start: time.Millisecond})
+	}
+	rep, err := eng.Run(scanshare.Shared, jobs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(rep.Pools) != 2 {
+		t.Fatalf("Pools = %v", rep.Pools)
+	}
+	want := reflect.New(reflect.TypeOf(rep.Pool.Stats)).Elem()
+	for _, p := range rep.Pools {
+		if p.LogicalReads == 0 || p.Evictions == 0 {
+			t.Fatalf("pool saw too little activity for the test: %+v", p)
+		}
+		addInts(want, reflect.ValueOf(p.Stats))
+	}
+	if got := rep.Pool.Stats; !reflect.DeepEqual(got, want.Interface()) {
+		t.Errorf("Report.Pool = %+v\nwant the sum of Report.Pools = %+v", got, want.Interface())
+	}
+}
+
+// addInts adds every int64 in v (struct fields and array elements) into sum.
+func addInts(sum, v reflect.Value) {
+	switch v.Kind() {
+	case reflect.Int64:
+		sum.SetInt(sum.Int() + v.Int())
+	case reflect.Struct:
+		for i := 0; i < v.NumField(); i++ {
+			addInts(sum.Field(i), v.Field(i))
+		}
+	case reflect.Array:
+		for i := 0; i < v.Len(); i++ {
+			addInts(sum.Index(i), v.Index(i))
+		}
 	}
 }

@@ -70,7 +70,10 @@ race:
 # policy reads), and the translation-directory fuzzer (chunked COW growth,
 # range discipline, overflow ids), the tuple decoder under arbitrary schemas,
 # column sets and page bytes (never panics, never reads past the buffer,
-# agrees with the full decode), and the service's frame decoder (never
+# agrees with the full decode, into tuples and into column vectors), the
+# aggregation page kernel under random schemas, group-by and aggregate lists
+# and page bytes (rows byte-equal to the tuple-at-a-time fold's, or its
+# error, privately and shared), and the service's frame decoder (never
 # panics, rejects a bad length before allocating, truncation is an EOF,
 # requests round-trip); each runs FUZZTIME, and a longer session is one
 # FUZZTIME=5m away.
@@ -79,6 +82,7 @@ fuzz:
 	$(GO) test -fuzz FuzzPoolOps -fuzztime $(FUZZTIME) ./internal/buffer
 	$(GO) test -fuzz FuzzTranslation -fuzztime $(FUZZTIME) ./internal/buffer
 	$(GO) test -fuzz FuzzDecodeColumns -fuzztime $(FUZZTIME) ./internal/record
+	$(GO) test -run FuzzFoldPage -fuzz FuzzFoldPage -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/server
 
 bench:
@@ -93,10 +97,12 @@ bench-pool:
 	$(GO) test -run '^$$' -bench 'BenchmarkPoolAcquireRelease|BenchmarkPoolAcquireHitParallel' -benchmem -cpu 1,4,8 ./internal/buffer
 	$(GO) test -run '^$$' -bench BenchmarkPoolMissFillEvict -benchmem ./internal/buffer
 
-# The per-tuple path in isolation: one lineitem page decoded (all columns, and
-# the four Q1 reads) and folded with Q1's shape (private table, shared striped
-# table). The allocation ceilings these imply are pinned in tier-1 by
-# TestForEachDoesNotAllocate and TestFoldAllocations.
+# The per-tuple path in isolation: one lineitem page decoded (all columns and
+# the four Q1 reads into tuples, the four Q1 reads into column vectors) and
+# folded with Q1's shape by the aggregation page kernel (private table,
+# shared striped table). The allocation ceilings these imply are pinned in
+# tier-1 by TestForEachDoesNotAllocate, TestFoldAllocations (0 per warm page)
+# and TestConsumerLifetimeAllocations (a consumer's whole life).
 bench-fold:
 	$(GO) test -run '^$$' -bench 'BenchmarkDecodePage|BenchmarkGroupByPage' -benchmem ./internal/heap ./internal/exec
 

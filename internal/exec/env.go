@@ -15,11 +15,11 @@
 //
 // Both work page at a time. A scan decodes only the columns its plan reads
 // (TableScan.Columns, compiled by the planner), and an Aggregate over a scan
-// — directly or through one Filter — decodes, filters and folds each page in
-// one loop, foldPage, the same loop the private GroupByConsumer runs on a
-// delivered page. A plan whose reads are unknown, such as one under an
-// opaque predicate, decodes every column and pulls tuples through the
-// operators one at a time. A scan waiting for a page another scan is still
+// — directly or through one Filter — hands each page to the aggregation
+// kernel (kernel.go), the one the GroupByConsumer runs on a delivered page.
+// A plan whose reads are unknown, such as one under an opaque predicate,
+// decodes every column and pulls tuples through the operators one at a
+// time, and the kernel folds each as a batch of one row. A scan waiting for a page another scan is still
 // reading polls the pool through sim.Proc.Poll, so the kernel asks on its
 // behalf and resumes it only with a hit or a miss.
 //

@@ -4,9 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
-	"sort"
 
-	"scanshare/internal/heap"
 	"scanshare/internal/record"
 )
 
@@ -212,9 +210,10 @@ func (a *Aggregate) Next() (record.Tuple, bool, error) {
 }
 
 func (a *Aggregate) run() error {
-	tb := newAggTable(a.GroupBy, a.Aggs)
 	if scan, pred := pageInput(a.Input); scan != nil {
-		var scratch record.Tuple
+		var k kernel
+		k.init(compileShape(scan.Columns.Schema(), a.GroupBy, a.Aggs), pred)
+		tb := &groupTable{sh: k.sh}
 		for {
 			view, ok, err := scan.nextPage()
 			if err != nil {
@@ -223,26 +222,56 @@ func (a *Aggregate) run() error {
 			if !ok {
 				break
 			}
-			if scratch, err = foldPage(tb, view, pred, scratch); err != nil {
+			if err := k.foldPage(view, tb); err != nil {
 				return err
 			}
 		}
-	} else {
-		for {
-			t, ok, err := a.Input.Next()
+		a.results = sortedRows([]*groupTable{tb}, a.GroupBy, a.Aggs)
+		return nil
+	}
+	// Pulled a tuple at a time: the kernel folds each as a batch of one
+	// row, compiled against the kinds of the first.
+	var k kernel
+	var tb *groupTable
+	for {
+		t, ok, err := a.Input.Next()
+		if err != nil {
+			return err
+		}
+		if !ok {
+			break
+		}
+		if tb == nil {
+			schema, err := tupleSchema(t)
 			if err != nil {
 				return err
 			}
-			if !ok {
-				break
-			}
-			if err := tb.fold(t); err != nil {
-				return err
-			}
+			k.init(compileShape(schema, a.GroupBy, a.Aggs), nil)
+			tb = &groupTable{sh: k.sh}
+		}
+		if err := k.loadTuple(t); err != nil {
+			return err
+		}
+		if err := k.fold(tb); err != nil {
+			return err
 		}
 	}
-	a.results = tb.rows()
+	a.results = sortedRows([]*groupTable{tb}, a.GroupBy, a.Aggs)
 	return nil
+}
+
+// tupleSchema is the schema of an operator's output, read off one tuple of
+// it: one field per value, of the value's kind.
+func tupleSchema(t record.Tuple) (*record.Schema, error) {
+	fields := make([]record.Field, len(t))
+	for i, v := range t {
+		fields[i] = record.Field{Name: fmt.Sprint("c", i), Kind: v.Kind}
+	}
+	schema, err := record.NewSchema(fields...)
+	if err != nil {
+		return nil, fmt.Errorf("exec: aggregate input: %w", err)
+	}
+	return schema, nil
 }
 
 // pageInput returns the scan and the predicate of an input the aggregation
@@ -261,219 +290,12 @@ func pageInput(in Operator) (*TableScan, func(record.Tuple) bool) {
 	return nil, nil
 }
 
-// foldPage is the page-at-a-time loop under the Aggregate operator and the
-// private GroupByConsumer: decode each tuple of the page, keep it if pred
-// does (or pred is nil), fold it into tb — no iterator between the three.
-// scratch is the decode buffer, returned for the next page.
-func foldPage(tb *aggTable, view heap.PageView, pred func(record.Tuple) bool, scratch record.Tuple) (record.Tuple, error) {
-	for i := 0; i < view.NumTuples(); i++ {
-		t, err := view.Tuple(scratch, i)
-		if err != nil {
-			return scratch, err
-		}
-		scratch = t
-		if pred != nil && !pred(t) {
-			continue
-		}
-		if err := tb.fold(t); err != nil {
-			return scratch, err
-		}
+// keySize is the length of v's appendKey encoding.
+func keySize(v record.Value) int {
+	if v.Kind == record.KindString {
+		return len(v.S) + 2
 	}
-	return scratch, nil
-}
-
-// aggTable is the hash-aggregation core under the Aggregate operator, the
-// push-mode GroupByConsumer and every stripe of a SharedAggState: fold tuples
-// in, take deterministic sorted rows out. Not safe for concurrent folds.
-//
-// Group state lives in two slabs indexed by group number, so a new group
-// costs its map key and nothing else, and folding into an existing group
-// allocates nothing. An ungrouped table has one group, number 0, and no map.
-type aggTable struct {
-	groupBy []int
-	aggs    []AggSpec
-	groups  map[string]int // encoded group key -> group number; nil when ungrouped
-	keys    []record.Value // len(groupBy) values per group, owned (cloned)
-	cells   []aggCell      // len(aggs) cells per group
-	keyBuf  []byte
-}
-
-// aggCell is the running state of one aggregate of one group.
-type aggCell struct {
-	count int64
-	sum   float64
-	ext   record.Value // running MIN or MAX, owned (cloned); set once count > 0
-}
-
-func newAggTable(groupBy []int, aggs []AggSpec) *aggTable {
-	tb := &aggTable{groupBy: groupBy, aggs: aggs}
-	if len(groupBy) > 0 {
-		tb.groups = make(map[string]int)
-	}
-	return tb
-}
-
-// appendGroupKey appends the encoding of t's group-by values to dst.
-func appendGroupKey(dst []byte, groupBy []int, t record.Tuple) ([]byte, error) {
-	for _, ord := range groupBy {
-		if ord < 0 || ord >= len(t) {
-			return dst, fmt.Errorf("exec: group-by ordinal %d out of range", ord)
-		}
-		dst = appendKey(dst, t[ord])
-	}
-	return dst, nil
-}
-
-// fold accumulates one input tuple into its group.
-func (tb *aggTable) fold(t record.Tuple) error {
-	if len(tb.groupBy) == 0 {
-		return tb.foldKeyed(nil, t)
-	}
-	key, err := appendGroupKey(tb.keyBuf[:0], tb.groupBy, t)
-	tb.keyBuf = key
-	if err != nil {
-		return err
-	}
-	return tb.foldKeyed(key, t)
-}
-
-// foldKeyed is fold for a caller that has already encoded t's group key. The
-// group is looked up by those bytes first; only a new group builds its key
-// tuple. t may view memory the caller reuses (a decoded page): what the table
-// keeps of it — group keys, MIN/MAX values — is cloned.
-func (tb *aggTable) foldKeyed(key []byte, t record.Tuple) error {
-	g := 0
-	if tb.groups == nil {
-		if len(tb.cells) == 0 {
-			tb.cells = make([]aggCell, len(tb.aggs))
-		}
-	} else if n, ok := tb.groups[string(key)]; ok {
-		g = n
-	} else {
-		g = len(tb.groups)
-		tb.groups[string(key)] = g
-		for _, ord := range tb.groupBy {
-			tb.keys = append(tb.keys, t[ord].Clone())
-		}
-		tb.cells = append(tb.cells, make([]aggCell, len(tb.aggs))...)
-	}
-	cells := tb.cells[g*len(tb.aggs):][:len(tb.aggs)]
-	for i, spec := range tb.aggs {
-		c := &cells[i]
-		if spec.Kind == AggCount {
-			c.count++
-			continue
-		}
-		if spec.Ordinal < 0 || spec.Ordinal >= len(t) {
-			return fmt.Errorf("exec: aggregate ordinal %d out of range", spec.Ordinal)
-		}
-		v := t[spec.Ordinal]
-		switch spec.Kind {
-		case AggSum, AggAvg:
-			c.sum += numeric(v)
-		case AggMin:
-			if c.count == 0 || record.Compare(v, c.ext) < 0 {
-				c.ext = v.Clone()
-			}
-		case AggMax:
-			if c.count == 0 || record.Compare(v, c.ext) > 0 {
-				c.ext = v.Clone()
-			}
-		default:
-			return fmt.Errorf("exec: unknown aggregate %v", spec.Kind)
-		}
-		c.count++
-	}
-	return nil
-}
-
-// keyedRow is one finished group: its result row and the key encoding that
-// orders it.
-type keyedRow struct {
-	key string
-	row record.Tuple
-}
-
-// appendRows appends one finished row per group to dst, in no particular
-// order.
-func (tb *aggTable) appendRows(dst []keyedRow) []keyedRow {
-	if tb.groups == nil {
-		if len(tb.cells) > 0 {
-			dst = append(dst, keyedRow{"", tb.row(0)})
-		}
-		return dst
-	}
-	for key, g := range tb.groups {
-		dst = append(dst, keyedRow{key, tb.row(g)})
-	}
-	return dst
-}
-
-// row builds the finished result row of group g.
-func (tb *aggTable) row(g int) record.Tuple {
-	nk, na := len(tb.groupBy), len(tb.aggs)
-	row := make(record.Tuple, 0, nk+na)
-	row = append(row, tb.keys[g*nk:][:nk]...)
-	for i, spec := range tb.aggs {
-		c := &tb.cells[g*na+i]
-		switch spec.Kind {
-		case AggCount:
-			row = append(row, record.Int64(c.count))
-		case AggSum:
-			row = append(row, record.Float64(c.sum))
-		case AggAvg:
-			avg := 0.0
-			if c.count > 0 {
-				avg = c.sum / float64(c.count)
-			}
-			row = append(row, record.Float64(avg))
-		case AggMin, AggMax:
-			row = append(row, c.ext)
-		}
-	}
-	return row
-}
-
-// rows finalizes the table: one row per group, sorted by key encoding.
-func (tb *aggTable) rows() []record.Tuple {
-	return sortedRows(tb.appendRows(nil), tb.groupBy, tb.aggs)
-}
-
-// sortedRows orders finished groups by key encoding, and applies the SQL
-// empty-ungrouped special case; shared between aggTable and the striped
-// SharedAggState (whose stripes hold disjoint key sets).
-func sortedRows(groups []keyedRow, groupBy []int, aggs []AggSpec) []record.Tuple {
-	sort.Slice(groups, func(i, j int) bool { return groups[i].key < groups[j].key })
-	results := make([]record.Tuple, 0, len(groups))
-	for _, g := range groups {
-		results = append(results, g.row)
-	}
-	if len(results) == 0 && len(groupBy) == 0 {
-		// SQL semantics: an ungrouped aggregate over an empty input
-		// still yields one row.
-		row := record.Tuple{}
-		for _, spec := range aggs {
-			if spec.Kind == AggCount {
-				row = append(row, record.Int64(0))
-			} else {
-				row = append(row, record.Float64(0))
-			}
-		}
-		results = append(results, row)
-	}
-	return results
-}
-
-// numeric widens a value for summation.
-func numeric(v record.Value) float64 {
-	switch v.Kind {
-	case record.KindInt64, record.KindDate:
-		return float64(v.I)
-	case record.KindFloat64:
-		return v.F
-	default:
-		return 0
-	}
+	return 9
 }
 
 // appendKey appends a self-delimiting encoding of v for group hashing.

@@ -3,6 +3,7 @@ package exec
 import (
 	"fmt"
 	"math/bits"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -31,17 +32,22 @@ type SharedAggState struct {
 	stripes []aggStripe
 	folds   atomic.Int64
 
+	// The shape the stripes fold, compiled against the schema of the first
+	// consumer's table; every later consumer must fold the same table.
+	shapeMu sync.Mutex
+	shape   *aggShape
+
 	// Page claims keep the shared table exactly-once even though every
 	// sharing consumer is delivered every page: the first consumer to
 	// claim a page folds its tuples, the rest skip it. Requires all
 	// sharers to scan the same footprint (the caller's shape key).
 	claimMu sync.Mutex
-	claimed map[int]struct{}
+	claimed []uint64 // bit p%64 of word p/64: page p is claimed
 }
 
 type aggStripe struct {
 	mu  sync.Mutex
-	tbl *aggTable
+	tbl groupTable
 }
 
 // NewSharedAggState builds a shared table for the given query shape.
@@ -53,87 +59,138 @@ func NewSharedAggState(groupBy []int, aggs []AggSpec, stripes int) (*SharedAggSt
 	if stripes <= 0 {
 		stripes = 8
 	}
-	s := &SharedAggState{
-		groupBy: groupBy,
-		aggs:    aggs,
-		stripes: make([]aggStripe, stripes),
-		claimed: make(map[int]struct{}),
-	}
-	for i := range s.stripes {
-		s.stripes[i].tbl = newAggTable(groupBy, aggs)
-	}
-	return s, nil
+	return &SharedAggState{groupBy: groupBy, aggs: aggs, stripes: make([]aggStripe, stripes)}, nil
 }
 
-// Fold accumulates one tuple. Safe for concurrent use; only the owning
-// stripe is locked.
-func (s *SharedAggState) Fold(t record.Tuple) error {
-	var held *aggStripe
-	err := s.fold(&held, t)
-	held.release()
-	if err == nil {
-		s.folds.Add(1)
+// bind returns the shape the stripes fold, compiling it over schema for the
+// first consumer.
+func (s *SharedAggState) bind(schema *record.Schema) (*aggShape, error) {
+	s.shapeMu.Lock()
+	defer s.shapeMu.Unlock()
+	if s.shape == nil {
+		s.shape = compileShape(schema, s.groupBy, s.aggs)
+		for i := range s.stripes {
+			st := &s.stripes[i]
+			st.mu.Lock()
+			st.tbl = groupTable{sh: s.shape}
+			st.mu.Unlock()
+		}
+	} else if s.shape.schema != schema {
+		return nil, fmt.Errorf("exec: shared aggregation over schema %v, already folding %v", schema, s.shape.schema)
 	}
-	return err
+	return s.shape, nil
 }
 
-// fold is Fold for a run of tuples: it neither counts the fold (a consumer
-// adds a page's folds at once) nor unlocks the stripe it folded into, which
-// it leaves in *held — when the next tuple of the run lands on the same
-// stripe the mutex is not touched. The caller releases *held after the run.
-// The group key is encoded once: it picks the stripe, and the stripe's table
-// looks the group up by the same bytes.
-func (s *SharedAggState) fold(held **aggStripe, t record.Tuple) error {
-	var kb [64]byte
-	key, err := appendGroupKey(kb[:0], s.groupBy, t)
-	if err != nil {
+// foldPage folds the rows of view that k's predicate keeps. It computes the
+// page's group ids once, in a page-local index, and then takes each stripe
+// that owns one of the page's groups once, adding that stripe's rows in row
+// order.
+func (s *SharedAggState) foldPage(k *kernel, view heap.PageView) error {
+	err := k.loadPage(view)
+	n, ferr := k.batch()
+	if ferr != nil {
+		return ferr
+	}
+	if n == 0 {
 		return err
 	}
-	// The high half of hash x stripes is a uniform stripe number without a
-	// division.
-	n, _ := bits.Mul64(fnv64(key), uint64(len(s.stripes)))
-	st := &s.stripes[n]
-	if st != *held {
-		(*held).release()
-		st.mu.Lock()
-		*held = st
-	}
-	return st.tbl.foldKeyed(key, t)
-}
+	k.local.reset()
+	k.local.assign(k) // k.gids: page-local ids; k.fresh: each one's first row
 
-// release unlocks a stripe a run of folds left locked; nil is no stripe.
-func (st *aggStripe) release() {
-	if st != nil {
+	// The stripe of each page-local group, from its key; then the rows
+	// regrouped by stripe, in row order within each: a counting sort
+	// that leaves stripe i's rows at byStripe[at[i]:at[i+1]].
+	ns, nl := len(s.stripes), len(k.fresh)
+	k.shared = slices.Grow(k.shared[:0], 2*nl+ns+1+2*n)[:0]
+	carve := func(m int) []int32 {
+		k.shared = k.shared[:len(k.shared)+m]
+		return k.shared[len(k.shared)-m:]
+	}
+	stripeOf, stripeID := carve(nl), carve(nl) // per page-local group
+	at := carve(ns + 1)
+	byStripe, sgids := carve(n), carve(n) // per row, in stripe order
+	clear(at)
+	for lg, r := range k.fresh {
+		packed, wide := k.keyAt(int(r), k.keyBuf)
+		h := mix64(packed)
+		if wide != nil {
+			h = fnv64(wide)
+		}
+		st, _ := bits.Mul64(h, uint64(ns)) // the high half of hash x stripes: uniform, no division
+		stripeOf[lg] = int32(st)
+	}
+	for _, g := range k.gids {
+		at[stripeOf[g]]++
+	}
+	for i := 1; i < ns; i++ {
+		at[i] += at[i-1] // at[i]: where stripe i's rows end
+	}
+	for r := n - 1; r >= 0; r-- {
+		st := stripeOf[k.gids[r]]
+		at[st]--
+		byStripe[at[st]] = int32(r)
+	}
+	at[ns] = int32(n) // at[i]: where they start
+
+	for i := range s.stripes {
+		from, to := at[i], at[i+1]
+		if from == to {
+			continue
+		}
+		st := &s.stripes[i]
+		st.mu.Lock()
+		for lg, r := range k.fresh {
+			if stripeOf[lg] == int32(i) {
+				packed, wide := k.keyAt(int(r), k.keyBuf)
+				stripeID[lg] = st.tbl.group(packed, wide, &k.vec, int(r))
+			}
+		}
+		rows, ids := byStripe[from:to], sgids[from:to]
+		for j, r := range rows {
+			ids[j] = stripeID[k.gids[r]]
+		}
+		st.tbl.fold(&k.vec, rows, ids)
 		st.mu.Unlock()
 	}
+	s.folds.Add(int64(n))
+	return err
 }
 
 // Folds returns how many tuples have been folded in so far.
 func (s *SharedAggState) Folds() int64 { return s.folds.Load() }
 
-// ClaimPage reserves pageNo for the calling consumer. Exactly one of the
-// sharing consumers wins each page and folds its tuples; the others skip it.
+// ClaimPage reserves pageNo, which is not negative, for the calling
+// consumer. Exactly one of the sharing consumers wins each page and folds
+// its tuples; the others skip it.
 func (s *SharedAggState) ClaimPage(pageNo int) bool {
+	w, bit := pageNo/64, uint64(1)<<(pageNo%64)
 	s.claimMu.Lock()
-	_, dup := s.claimed[pageNo]
-	if !dup {
-		s.claimed[pageNo] = struct{}{}
+	defer s.claimMu.Unlock()
+	if w >= len(s.claimed) {
+		n := len(s.claimed)
+		s.claimed = slices.Grow(s.claimed, w+1-n)[:w+1]
+		clear(s.claimed[n:])
 	}
-	s.claimMu.Unlock()
-	return !dup
+	if s.claimed[w]&bit != 0 {
+		return false
+	}
+	s.claimed[w] |= bit
+	return true
 }
 
 // Rows merges the stripes and returns the deterministic sorted result rows.
 // Call it after every folding consumer has finished.
 func (s *SharedAggState) Rows() []record.Tuple {
-	var groups []keyedRow
+	tables := make([]*groupTable, len(s.stripes))
 	for i := range s.stripes {
 		st := &s.stripes[i]
 		st.mu.Lock()
-		groups = st.tbl.appendRows(groups) // stripe key sets are disjoint
+		if st.tbl.sh != nil { // nil: no page was ever folded
+			tables[i] = &st.tbl // stripe key sets are disjoint
+		}
 		st.mu.Unlock()
 	}
-	return sortedRows(groups, s.groupBy, s.aggs)
+	return sortedRows(tables, s.groupBy, s.aggs)
 }
 
 // GroupByConsumer folds the tuples of scanned heap pages into GROUP BY state
@@ -146,8 +203,8 @@ type GroupByConsumer struct {
 	Schema *record.Schema
 	// Pred, when set, filters tuples before aggregation. The tuple and the
 	// bytes its varchars view belong to the page being folded: Pred must
-	// not retain either. Setting it makes the consumer decode every column,
-	// because what an opaque function reads cannot be known.
+	// not retain either. Setting it makes the consumer decode every column
+	// for it, because what an opaque function reads cannot be known.
 	Pred func(record.Tuple) bool
 	// GroupBy and Aggs define the query shape (ordinals into the schema).
 	GroupBy []int
@@ -157,26 +214,50 @@ type GroupByConsumer struct {
 	// shared state once, via SharedAggState.Rows).
 	Shared *SharedAggState
 
-	cols    record.Columns // what OnPage decodes; compiled by the first page
-	scratch record.Tuple
-	local   *aggTable
-	pages   int64
-	err     error
+	cols  record.Columns // what OnPage's page views decode for Pred; compiled by the first page
+	k     kernel         // compiled by the first page
+	local groupTable
+	pages int64
+	err   error
 }
 
-// columns compiles the set of columns the consumer's pages are decoded for:
+// columns compiles the set of columns the consumer's pages are viewed with:
 // GroupBy and the inputs of the non-COUNT Aggs, or everything under a Pred.
 func (c *GroupByConsumer) columns() (record.Columns, error) {
 	if c.Pred != nil {
 		return record.AllColumns(c.Schema), nil
 	}
-	ords := append([]int(nil), c.GroupBy...)
+	cols, err := record.SelectColumns(c.Schema, c.GroupBy...)
 	for _, spec := range c.Aggs {
+		if err != nil {
+			break
+		}
 		if spec.Kind != AggCount {
-			ords = append(ords, spec.Ordinal)
+			var in record.Columns
+			in, err = record.SelectColumns(c.Schema, spec.Ordinal)
+			cols = cols.Union(in)
 		}
 	}
-	return record.SelectColumns(c.Schema, ords...)
+	return cols, err
+}
+
+// compile readies the consumer for its first page.
+func (c *GroupByConsumer) compile() error {
+	var err error
+	if c.cols, err = c.columns(); err != nil {
+		return fmt.Errorf("exec: group-by consumer: %w", err)
+	}
+	var sh *aggShape
+	if c.Shared != nil {
+		if sh, err = c.Shared.bind(c.Schema); err != nil {
+			return err
+		}
+	} else {
+		sh = compileShape(c.Schema, c.GroupBy, c.Aggs)
+		c.local = groupTable{sh: sh}
+	}
+	c.k.init(sh, c.Pred)
+	return nil
 }
 
 // OnPage folds every tuple of one heap page; it has the realtime
@@ -188,17 +269,18 @@ func (c *GroupByConsumer) OnPage(pageNo int, data []byte) {
 	if c.err != nil {
 		return
 	}
-	if c.Shared != nil && !c.Shared.ClaimPage(pageNo) {
-		return // another sharing consumer already folded this page
-	}
-	if c.cols.Schema() == nil {
-		var err error
-		if c.cols, err = c.columns(); err != nil {
-			c.err = fmt.Errorf("exec: group-by consumer: %w", err)
+	if c.Shared != nil {
+		if pageNo < 0 {
+			c.err = fmt.Errorf("exec: page %d: negative page number", pageNo)
 			return
 		}
-		if c.Shared == nil {
-			c.local = newAggTable(c.GroupBy, c.Aggs)
+		if !c.Shared.ClaimPage(pageNo) {
+			return // another sharing consumer already folded this page
+		}
+	}
+	if c.k.sh == nil {
+		if c.err = c.compile(); c.err != nil {
+			return
 		}
 	}
 	view, err := heap.ViewColumns(c.cols, data)
@@ -208,33 +290,10 @@ func (c *GroupByConsumer) OnPage(pageNo int, data []byte) {
 	}
 	c.pages++
 	if c.Shared == nil {
-		c.scratch, c.err = foldPage(c.local, view, c.Pred, c.scratch)
-		return
+		c.err = c.k.foldPage(view, &c.local)
+	} else {
+		c.err = c.Shared.foldPage(&c.k, view)
 	}
-	var folded int64
-	var held *aggStripe // the shared stripe the previous fold left locked
-	for i := 0; i < view.NumTuples(); i++ {
-		t, err := view.Tuple(c.scratch, i)
-		if err != nil {
-			c.err = err
-			break
-		}
-		c.scratch = t
-		if c.Pred != nil {
-			held.release() // Pred is the caller's code: never run it under a lock
-			held = nil
-			if !c.Pred(t) {
-				continue
-			}
-		}
-		if err = c.Shared.fold(&held, t); err != nil {
-			c.err = err
-			break
-		}
-		folded++
-	}
-	held.release()
-	c.Shared.folds.Add(folded)
 }
 
 // Pages returns how many pages the consumer folded.
@@ -250,11 +309,11 @@ func (c *GroupByConsumer) Results() ([]record.Tuple, error) {
 	if c.Shared != nil {
 		return nil, nil
 	}
-	tb := c.local
-	if tb == nil {
-		tb = newAggTable(c.GroupBy, c.Aggs)
+	var tb *groupTable
+	if c.local.sh != nil {
+		tb = &c.local
 	}
-	return tb.rows(), nil
+	return sortedRows([]*groupTable{tb}, c.GroupBy, c.Aggs), nil
 }
 
 // EncodeRows renders result rows as deterministic bytes (the group-key

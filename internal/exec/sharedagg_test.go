@@ -2,6 +2,7 @@ package exec
 
 import (
 	"bytes"
+	"strings"
 	"sync"
 	"testing"
 
@@ -95,12 +96,27 @@ func TestSharedAggValidation(t *testing.T) {
 	if _, err := NewSharedAggState(nil, nil, 0); err == nil {
 		t.Error("empty shared state accepted")
 	}
+	f := newFixture(t, 64)
+	pages := sharedAggPages(t, f)
 	s, err := NewSharedAggState([]int{5}, nil, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Fold(record.Tuple{record.Int64(1)}); err == nil {
-		t.Error("out-of-range group-by ordinal accepted")
+	c := &GroupByConsumer{Schema: f.tbl.Schema(), Pred: func(record.Tuple) bool { return true }, Shared: s}
+	c.OnPage(0, pages[0])
+	if _, err := c.Results(); err == nil || !strings.Contains(err.Error(), "group-by ordinal 5 out of range") {
+		t.Errorf("out-of-range group-by ordinal: error %v", err)
+	}
+	c = &GroupByConsumer{Schema: f.tbl.Schema(), Shared: s}
+	c.OnPage(-1, pages[0])
+	if _, err := c.Results(); err == nil {
+		t.Error("negative page number accepted")
+	}
+	other := record.MustSchema(record.Field{Name: "x", Kind: record.KindInt64})
+	c = &GroupByConsumer{Schema: other, Shared: s}
+	c.OnPage(1, pages[1])
+	if _, err := c.Results(); err == nil {
+		t.Error("a second schema folded into one shared state")
 	}
 }
 

@@ -23,7 +23,8 @@ func q1Columns(tb testing.TB, schema *record.Schema) record.Columns {
 }
 
 // BenchmarkDecodePage decodes every tuple of a lineitem page: all ten
-// columns, and the four Q1 reads.
+// columns, and the four Q1 reads, into tuples; and the four Q1 reads into
+// column vectors, the aggregation kernel's decode.
 func BenchmarkDecodePage(b *testing.B) {
 	schema, pages := heaptest.LineitemPages(b, 2000)
 	for _, bc := range []struct {
@@ -47,6 +48,22 @@ func BenchmarkDecodePage(b *testing.B) {
 			}
 		})
 	}
+	b.Run("q1_vectors", func(b *testing.B) {
+		cols := q1Columns(b, schema)
+		var vec record.Vectors
+		b.ReportAllocs()
+		b.SetBytes(heaptest.PageSize)
+		for i := 0; i < b.N; i++ {
+			v, err := heap.ViewColumns(cols, pages[i%len(pages)])
+			if err != nil {
+				b.Fatal(err)
+			}
+			vec.Reset(cols)
+			if err := v.AppendTo(&vec); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
 }
 
 // TestForEachDoesNotAllocate pins the decode half of the per-tuple path:

@@ -220,6 +220,31 @@ func (v PageView) Tuple(dst record.Tuple, i int) (record.Tuple, error) {
 	return t, err
 }
 
+// AppendTo decodes every tuple on the page, in slot order, onto the end of
+// dst under dst's column set. Its errors are Tuple's; on one, the tuples
+// ahead of the failing one stay appended. dst's varchars view the page, as
+// Tuple's do.
+func (v PageView) AppendTo(dst *record.Vectors) error {
+	var offsets [64]int // a chunk of tuples, handed over at once
+	for i := 0; i < v.n; {
+		m := 0
+		for ; m < len(offsets) && i < v.n; m, i = m+1, i+1 {
+			off := int(binary.LittleEndian.Uint16(v.slots[i*slotSize:]))
+			if off > len(v.data) {
+				if err := dst.AppendAt(v.data, offsets[:m]); err != nil {
+					return err
+				}
+				return fmt.Errorf("heap: tuple %d offset %d beyond data area", i, off)
+			}
+			offsets[m] = off
+		}
+		if err := dst.AppendAt(v.data, offsets[:m]); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
 // scratchTuples recycles ForEach's decode buffer: fn is an unknown function,
 // so a buffer local to ForEach would be heap-allocated on every call.
 var scratchTuples = sync.Pool{New: func() any { return new(record.Tuple) }}

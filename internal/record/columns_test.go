@@ -89,11 +89,53 @@ func checkSelective(t *testing.T, s *Schema, ords []int, dst Tuple, buf []byte) 
 	return got
 }
 
+// checkVectors decodes the tuples of bufs, laid end to end, into a batch of
+// cols: it must hold the full decode of every tuple ahead of the first that
+// fails, on the columns of cols, and fail with that tuple's error.
+func checkVectors(t *testing.T, cols Columns, bufs ...[]byte) {
+	t.Helper()
+	var data []byte
+	var offsets []int
+	for _, b := range bufs {
+		offsets = append(offsets, len(data))
+		data = append(data, b...)
+	}
+	var want []Tuple
+	var wantErr error
+	for _, off := range offsets {
+		var row Tuple
+		if row, _, wantErr = Decode(nil, cols.Schema(), data[off:]); wantErr != nil {
+			break
+		}
+		want = append(want, row)
+	}
+	var v Vectors
+	v.Reset(cols)
+	err := v.AppendAt(data, offsets)
+	if (err == nil) != (wantErr == nil) || (err != nil && err.Error() != wantErr.Error()) {
+		t.Fatalf("vectors of %d tuples: error %v, full decode %v", len(bufs), err, wantErr)
+	}
+	if v.Len() != len(want) {
+		t.Fatalf("vectors hold %d rows, want %d", v.Len(), len(want))
+	}
+	for r, row := range want {
+		for ord := range row {
+			if !cols.Reads(ord) {
+				continue
+			}
+			if got := v.Value(ord, r); !sameValue(got, row[ord]) {
+				t.Fatalf("vectors row %d field %d = %#v, want %#v", r, ord, got, row[ord])
+			}
+		}
+	}
+}
+
 // TestSelectiveDecodeMatchesFull is the differential test of the decoder
 // core: over random schemas, tuples and column sets a selective decode agrees
 // with the full one — on a fresh destination and on the reused `scratch = t`
 // form — and at every truncation point of the buffer both fail with the same
-// error.
+// error. So does a decode of several tuples into column vectors, whose last
+// tuple is cut short.
 func TestSelectiveDecodeMatchesFull(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for round := 0; round < 300; round++ {
@@ -104,8 +146,13 @@ func TestSelectiveDecodeMatchesFull(t *testing.T) {
 			t.Fatal(err)
 		}
 		scratch := checkSelective(t, s, ords, nil, buf)
+		cols, err := SelectColumns(s, ords...)
+		if err != nil {
+			t.Fatal(err)
+		}
 		for cut := 0; cut < len(buf); cut++ {
 			checkSelective(t, s, ords, nil, buf[:cut:cut])
+			checkVectors(t, cols, buf, buf[:cut])
 		}
 		// The tuple a column set returned goes back in as dst: unrequested
 		// fields must still read as zeros and requested ones be overwritten.
@@ -115,6 +162,8 @@ func TestSelectiveDecodeMatchesFull(t *testing.T) {
 				t.Fatal(err)
 			}
 			scratch = checkSelective(t, s, ords, scratch, next)
+			checkVectors(t, cols, buf, next, buf)
+			checkVectors(t, AllColumns(s), next, buf)
 		}
 	}
 }
@@ -218,10 +267,35 @@ func TestCloneOwnsItsBytes(t *testing.T) {
 	}
 }
 
+// TestArenaClonesOwnTheirBytes: an arena clone survives the string it was
+// cloned from being overwritten, and later clones do not overwrite it.
+func TestArenaClonesOwnTheirBytes(t *testing.T) {
+	var a Arena
+	buf := []byte("abcdefgh")
+	var kept []string
+	for i := 0; i < 100; i++ { // several chunks
+		kept = append(kept, a.Clone(viewString(buf)))
+		buf[0]++
+	}
+	long := strings.Repeat("x", 3*arenaChunk)
+	if got := a.Clone(long); got != long {
+		t.Errorf("long clone %q", got)
+	}
+	for i, s := range kept {
+		if want := string([]byte{byte('a' + i)}) + "bcdefgh"; s != want {
+			t.Errorf("clone %d = %q, want %q", i, s, want)
+		}
+	}
+	if a.Clone("") != "" {
+		t.Error("empty clone not empty")
+	}
+}
+
 // FuzzDecodeColumns feeds arbitrary bytes to the decoder under an arbitrary
 // schema and column set. It must never panic, never consume or view bytes
 // past len(buf), and agree with the full decode: same error, same byte
-// count, same values on the requested columns.
+// count, same values on the requested columns. A decode of the bytes twice
+// over into column vectors agrees with it too.
 func FuzzDecodeColumns(f *testing.F) {
 	s := MustSchema(Field{"a", KindInt64}, Field{"b", KindString}, Field{"c", KindFloat64}, Field{"d", KindString})
 	good, _ := Encode(nil, s, Tuple{Int64(7), String("seven"), Float64(7.5), String(strings.Repeat("x", 200))})
@@ -247,6 +321,8 @@ func FuzzDecodeColumns(f *testing.F) {
 		s := MustSchema(fields...)
 		buf := append([]byte(nil), page...)[:len(page):len(page)]
 		got := checkSelective(t, s, ords, nil, buf)
+		cols, _ := SelectColumns(s, ords...)
+		checkVectors(t, cols, buf, buf)
 		if got == nil {
 			return
 		}

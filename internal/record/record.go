@@ -391,35 +391,64 @@ func (c Columns) Decode(dst Tuple, buf []byte) (Tuple, int, error) {
 		i, off = fixed, 8*fixed
 	}
 	for ; i < len(fields); i++ {
-		f := &fields[i]
-		want := c.Reads(i)
-		if f.Kind != KindString {
+		if fields[i].Kind != KindString {
 			if off+8 > len(buf) {
-				return nil, 0, fmt.Errorf("record: truncated %s field %q", f.Kind, f.Name)
+				_, _, err := c.schema.stepLong(i, buf, off)
+				return nil, 0, err
 			}
-			if want {
+			if c.Reads(i) {
 				t[i].setFixed(buf[off:])
 			}
 			off += 8
 			continue
 		}
-		var n uint64
-		vn := 1
-		if off < len(buf) && buf[off] < 0x80 {
-			n = uint64(buf[off]) // one-byte length, the common case
-		} else if n, vn = binary.Uvarint(buf[off:]); vn <= 0 {
-			return nil, 0, fmt.Errorf("record: bad varchar length for field %q", f.Name)
+		start, end, ok := stepVarchar(buf, off)
+		if !ok {
+			var err error
+			if start, end, err = c.schema.stepLong(i, buf, off); err != nil {
+				return nil, 0, err
+			}
 		}
-		off += vn
-		if n > uint64(len(buf)-off) {
-			return nil, 0, fmt.Errorf("record: truncated varchar field %q", f.Name)
+		if c.Reads(i) {
+			t[i].S = viewString(buf[start:end])
 		}
-		if want {
-			t[i].S = viewString(buf[off : off+int(n)])
-		}
-		off += int(n)
+		off = end
 	}
 	return t, off, nil
+}
+
+// stepVarchar is the varchar step of the field walk every decoder shares:
+// it bounds-checks a varchar field that starts at buf[off:] and returns
+// where its bytes lie in buf, end being where the next field starts. ok is
+// false when the field is truncated or malformed, and also when its length
+// prefix is longer than one byte: stepLong then finishes the step or says
+// what is wrong. (A fixed-width field is 8 bytes, no more to check than
+// off+8 <= len(buf). stepVarchar inlines into the decoders' loops; stepLong
+// is the rare case.)
+func stepVarchar(buf []byte, off int) (start, end int, ok bool) {
+	if off < len(buf) && buf[off] < 0x80 {
+		start = off + 1
+		end = start + int(buf[off])
+		return start, end, end <= len(buf)
+	}
+	return 0, 0, false
+}
+
+// stepLong is the step of field i of s that the decoders' fast path refused:
+// a truncated fixed-width field, or a varchar stepVarchar refused.
+func (s *Schema) stepLong(i int, buf []byte, off int) (start, end int, err error) {
+	f := &s.fields[i]
+	if f.Kind != KindString {
+		return 0, 0, fmt.Errorf("record: truncated %s field %q", f.Kind, f.Name)
+	}
+	n, vn := binary.Uvarint(buf[off:])
+	if vn <= 0 {
+		return 0, 0, fmt.Errorf("record: bad varchar length for field %q", f.Name)
+	}
+	if off += vn; n > uint64(len(buf)-off) {
+		return 0, 0, fmt.Errorf("record: truncated varchar field %q", f.Name)
+	}
+	return off, off + int(n), nil
 }
 
 // setFixed loads the 8-byte field at the start of b into v, whose Kind is
@@ -448,4 +477,31 @@ func Decode(dst Tuple, s *Schema, buf []byte) (Tuple, int, error) {
 // next write.
 func viewString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
+}
+
+// Arena clones varchars into shared chunks, so that keeping many small
+// strings costs an allocation per chunk rather than one per string. A clone
+// views bytes of its chunk that are never written again — the chunk is only
+// appended to, and replaced when full — so it is as immutable as
+// strings.Clone's copy, and keeps its chunk alive as long as it is kept. The
+// zero Arena is ready. Not safe for concurrent use.
+type Arena struct {
+	chunk []byte
+}
+
+// arenaChunk is the size of an arena's chunks; a longer string gets a chunk
+// of its own size.
+const arenaChunk = 256
+
+// Clone returns a copy of s that owns its bytes, as strings.Clone does.
+func (a *Arena) Clone(s string) string {
+	if len(s) == 0 {
+		return ""
+	}
+	if len(s) > cap(a.chunk)-len(a.chunk) {
+		a.chunk = make([]byte, 0, max(arenaChunk, len(s)))
+	}
+	start := len(a.chunk)
+	a.chunk = append(a.chunk, s...)
+	return viewString(a.chunk[start:])
 }

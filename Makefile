@@ -68,10 +68,11 @@ race:
 # operation-sequence fuzzer (which also covers the replacement-policy and
 # translation-table choices plus mutations of the scan source the predictive
 # policy reads), and the translation-directory fuzzer (chunked COW growth,
-# range discipline, overflow ids), the tuple decoder under arbitrary schemas,
-# column sets and page bytes (never panics, never reads past the buffer,
-# agrees with the full decode, into tuples and into column vectors), the
-# aggregation page kernel under random schemas, group-by and aggregate lists
+# range discipline, overflow ids), the column-major page reader under random
+# schemas, rows and column sets (pages the builder lays out read back equal to
+# the row oracle, through Tuple, ForEach and column vectors; arbitrary bytes
+# as a page never panic, never read past it, and fail alike on every path),
+# the aggregation page kernel under random schemas, group-by and aggregate lists
 # and page bytes (rows byte-equal to the tuple-at-a-time fold's, or its
 # error, privately and shared), and the service's frame decoder (never
 # panics, rejects a bad length before allocating, truncation is an EOF,
@@ -81,7 +82,7 @@ fuzz:
 	$(GO) test -fuzz FuzzParse -fuzztime $(FUZZTIME) ./internal/sql
 	$(GO) test -fuzz FuzzPoolOps -fuzztime $(FUZZTIME) ./internal/buffer
 	$(GO) test -fuzz FuzzTranslation -fuzztime $(FUZZTIME) ./internal/buffer
-	$(GO) test -fuzz FuzzDecodeColumns -fuzztime $(FUZZTIME) ./internal/record
+	$(GO) test -run FuzzDecodePage -fuzz FuzzDecodePage -fuzztime $(FUZZTIME) ./internal/heap
 	$(GO) test -run FuzzFoldPage -fuzz FuzzFoldPage -fuzztime $(FUZZTIME) ./internal/exec
 	$(GO) test -run FuzzReadFrame -fuzz FuzzReadFrame -fuzztime $(FUZZTIME) ./internal/server
 
@@ -117,8 +118,9 @@ bench-sim:
 # The set-up every repository benchmark repetition pays: one scale-40
 # workload.Load (about 16 200 pages) into a fresh engine, timed without the
 # engine's construction. The allocation ceiling it implies — two per page and
-# a constant, nothing per row — is pinned in tier-1 by TestLoadTableAllocations,
-# and the pages themselves by the TestLoadMatchesReference oracles.
+# a constant, nothing per row — is pinned in tier-1 by
+# TestLoadTableAllocations, and the pages themselves by the
+# TestColumnPagesKeepRowBoundaries and TestLoadMatchesReference oracles.
 bench-load:
 	$(GO) test -run '^$$' -bench BenchmarkLoad -benchmem ./internal/workload
 

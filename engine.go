@@ -46,10 +46,8 @@ type Engine struct {
 	tracer    *trace.Tracer
 	sharingFn func(pool string, ev SharingEvent)
 
-	// tableRT remembers each table's pool for Lookup; tableStats holds
-	// the per-column statistics collected while each table loaded.
-	tableRT    map[catalog.TableID]*poolRT
-	tableStats map[catalog.TableID][]colStats
+	// tableRT remembers each table's pool for Lookup.
+	tableRT map[catalog.TableID]*poolRT
 	// pools maps pool names to their runtime; defPool is pools[""], the
 	// default pool every table lands in unless placed elsewhere with
 	// LoadTableInPool. Each pool has its own scan sharing manager, as in
@@ -155,15 +153,14 @@ func New(cfg Config) (*Engine, error) {
 	}
 
 	e := &Engine{
-		cfg:        cfg,
-		kernel:     sim.New(),
-		dev:        dev,
-		cat:        catalog.New(),
-		cost:       cost,
-		cpu:        cpu,
-		pools:      make(map[string]*poolRT, 1+len(cfg.Pools)),
-		tableRT:    make(map[catalog.TableID]*poolRT),
-		tableStats: make(map[catalog.TableID][]colStats),
+		cfg:     cfg,
+		kernel:  sim.New(),
+		dev:     dev,
+		cat:     catalog.New(),
+		cost:    cost,
+		cpu:     cpu,
+		pools:   make(map[string]*poolRT, 1+len(cfg.Pools)),
+		tableRT: make(map[catalog.TableID]*poolRT),
 	}
 	if cfg.PoolShards < 0 {
 		return nil, fmt.Errorf("scanshare: negative PoolShards %d", cfg.PoolShards)
@@ -296,11 +293,12 @@ func (t *Table) NumTuples() int64 { return t.tbl.NumTuples() }
 // function. Loading is instantaneous in virtual time (the paper's workloads
 // are read-only; load cost is out of scope).
 //
-// add keeps nothing of the tuple it is given once it returns: the tuple is
-// encoded into the table's pages, and only varchar strings are kept, by
-// reference, in the column statistics (Go strings are immutable). A loader
-// may therefore fill one Tuple per table and pass it for every row. A tuple
-// add rejects leaves the table and its statistics as they were.
+// add keeps nothing of the tuple it is given once it returns: its values are
+// copied into the column buffers of the page under construction, and only
+// varchar strings are kept, by reference, there and in the column
+// statistics (Go strings are immutable). A loader may therefore fill one
+// Tuple per table and pass it for every row. A tuple add rejects leaves the
+// table and its statistics as they were.
 func (e *Engine) LoadTable(name string, schema *Schema, load func(add func(Tuple) error) error) (*Table, error) {
 	return e.LoadTableInPool(name, "", schema, load)
 }
@@ -318,8 +316,7 @@ func (e *Engine) LoadTableInPool(name, pool string, schema *Schema, load func(ad
 	if err != nil {
 		return nil, err
 	}
-	stats := newColStats(schema)
-	if err := load(statsObserver(stats, b.Append)); err != nil {
+	if err := load(b.Append); err != nil {
 		return nil, fmt.Errorf("scanshare: loading %q: %w", name, err)
 	}
 	tbl, err := b.Finish()
@@ -333,7 +330,6 @@ func (e *Engine) LoadTableInPool(name, pool string, schema *Schema, load func(ad
 	t := &Table{eng: e, id: id, tbl: tbl, rt: rt}
 	rt.scans.addTable(t.coreTableID(), tbl.FirstPage())
 	e.tableRT[id] = rt
-	e.tableStats[id] = stats
 	return t, nil
 }
 

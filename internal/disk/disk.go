@@ -176,10 +176,20 @@ func (d *Device) AllocatedPages() int64 {
 	return int64(d.alloced)
 }
 
-// Write stores data as the content of page p. The copy is taken immediately;
-// writes are not part of the cost model (the workload is read-only after
-// load, as in the paper's TPC-H runs).
+// Write stores a copy of data as the content of page p; writes are not part
+// of the cost model (the workload is read-only after load, as in the
+// paper's TPC-H runs).
 func (d *Device) Write(p PageID, data []byte) error {
+	return d.Install(p, append([]byte{}, data...))
+}
+
+// Install stores data as the content of page p without copying it: the
+// device takes the slice over, and the caller must never write to it again.
+// A table builder that lays its pages out in buffers of their own hands
+// them over this way (Write is Install of a copy). data's capacity is cut to
+// its length, so that no append through a slice the device hands out
+// reaches bytes beyond it.
+func (d *Device) Install(p PageID, data []byte) error {
 	if len(data) > d.model.PageSize {
 		return fmt.Errorf("disk: page %d write of %d bytes exceeds page size %d", p, len(data), d.model.PageSize)
 	}
@@ -188,9 +198,7 @@ func (d *Device) Write(p PageID, data []byte) error {
 	if p < 0 || p >= d.alloced {
 		return fmt.Errorf("disk: write to unallocated page %d", p)
 	}
-	buf := make([]byte, len(data))
-	copy(buf, data)
-	d.pages[p] = buf
+	d.pages[p] = data[:len(data):len(data)]
 	return nil
 }
 

@@ -8,7 +8,7 @@ import (
 	"scanshare/internal/record"
 )
 
-// Decoded varchars are views into page bytes (record.Columns.Decode), so
+// Decoded varchars are views into page bytes (record.ViewString), so
 // everything that keeps a value — group keys, MIN/MAX state, Collect, Sort,
 // the HashJoin build side — must clone it. These tests destroy the page bytes
 // behind the operators' backs and require the rows to come out unharmed.

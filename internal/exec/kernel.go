@@ -16,14 +16,17 @@ import (
 // a page, or one pulled tuple — in four stages:
 //
 //   - decode: each column the aggregation reads, once, into a typed vector
-//     (record.Vectors; every field of every tuple is still walked and
-//     bounds-checked, with Decode's errors);
-//   - select: under an opaque predicate, each tuple is decoded whole for it,
-//     and the batch keeps the columns of the tuples it accepts;
-//   - group ids: each row's group key maps to a dense group id, checking the
-//     previous row's key first, then an open-addressing table on the key
-//     packed into a uint64 when it fits, and a map on the key's encoding
-//     only when it does not;
+//     (record.Vectors, filled column by column from the page);
+//   - select: under an opaque predicate, the page's columns are decoded
+//     once, each row is made a tuple from them for the predicate, and the
+//     batch keeps the rows it accepts;
+//   - group ids: each row's group key maps to a dense group id. When every
+//     key column is dictionary-coded on the page, a row's ids come from a
+//     table indexed by its codes, and the index is probed once per
+//     combination of codes the page holds; otherwise, checking the
+//     previous row's key first, from an open-addressing table on the key
+//     packed into a uint64 when it fits, and from a map on the key's
+//     encoding only when it does not;
 //   - fold: one loop per aggregate over the batch.
 //
 // Groups are told apart by the encoding of their key values (appendKey), not
@@ -84,12 +87,23 @@ func compileShape(schema *record.Schema, groupBy []int, aggs []AggSpec) *aggShap
 	return sh
 }
 
-// keyCol is one group-by column of the current batch.
+// keyCol is one group-by column of the current batch: its values, or a
+// coded varchar's codes and dictionary.
 type keyCol struct {
-	kind record.Kind
-	i    []int64
-	f    []float64
-	s    []string
+	kind  record.Kind
+	i     []int64
+	f     []float64
+	s     []string
+	codes []uint8
+	dict  []string
+}
+
+// str returns row r of a varchar key column.
+func (c *keyCol) str(r int) string {
+	if c.codes != nil {
+		return c.dict[c.codes[r]]
+	}
+	return c.s[r]
 }
 
 // packedLen is how many bytes of a key fit beside the length byte of a
@@ -110,8 +124,11 @@ const notPacked = ^uint64(0)
 //     bytes long, beside the length.
 //
 // A key that does not pack is its bytes — the varchar's, or the encoding —
-// which keyAt builds.
+// which keyOf builds.
 func (k *kernel) packKeys(n int) {
+	if len(k.packed) < n {
+		k.packed = make([]uint64, len(k.rows))
+	}
 	pk := k.packed[:n]
 	cols := k.keys
 	if len(cols) == 1 {
@@ -168,18 +185,36 @@ func packOn(p uint64, s string) uint64 {
 	return p&(1<<56-1) | uint64(at+len(s)+2)<<56
 }
 
-// keyAt returns row r's key as packKeys left it: packed, wide == nil; or,
-// when it does not pack, its bytes, built in buf[:0].
-func (k *kernel) keyAt(r int, buf []byte) (packed uint64, wide []byte) {
-	if len(k.keys) == 0 {
+// keyOf returns row r's key in the form packKeys gives it: packed, wide ==
+// nil; or, when it does not pack, its bytes, built in buf[:0].
+func (k *kernel) keyOf(r int, buf []byte) (packed uint64, wide []byte) {
+	switch {
+	case len(k.keys) == 0:
 		return 0, nil // ungrouped: one key
+	case len(k.keys) == 1:
+		switch c := &k.keys[0]; c.kind {
+		case record.KindFloat64:
+			return math.Float64bits(c.f[r]), nil
+		case record.KindString:
+			s := c.str(r)
+			if len(s) > packedLen {
+				return 0, append(buf[:0], s...)
+			}
+			return packString(s), nil
+		default:
+			return uint64(c.i[r]), nil
+		}
 	}
-	p := k.packed[r]
-	if p != notPacked || len(k.keys) == 1 && k.keys[0].kind != record.KindString {
+	p := uint64(0)
+	for j := range k.keys {
+		if k.keys[j].kind != record.KindString {
+			p = notPacked
+			break
+		}
+		p = packOn(p, k.keys[j].str(r))
+	}
+	if p != notPacked {
 		return p, nil
-	}
-	if len(k.keys) == 1 {
-		return 0, append(buf[:0], k.keys[0].s[r]...)
 	}
 	buf = buf[:0]
 	for j := range k.keys {
@@ -188,7 +223,7 @@ func (k *kernel) keyAt(r int, buf []byte) (packed uint64, wide []byte) {
 		case record.KindFloat64:
 			buf = appendKey(buf, record.Float64(c.f[r]))
 		case record.KindString:
-			buf = appendKey(buf, record.String(c.s[r]))
+			buf = appendKey(buf, record.String(c.str(r)))
 		default:
 			buf = appendKey(buf, record.Value{Kind: c.kind, I: c.i[r]})
 		}
@@ -333,6 +368,10 @@ func (x *keyIndex) assign(k *kernel) {
 		clear(gids)
 		return
 	}
+	if k.coded {
+		x.assignCoded(k)
+		return
+	}
 	k.packKeys(n)
 	lastID := int32(-1)
 	var lastPacked uint64
@@ -341,7 +380,7 @@ func (x *keyIndex) assign(k *kernel) {
 	for r := range gids {
 		packed, wide := k.packed[r], []byte(nil)
 		if packed == notPacked {
-			if packed, wide = k.keyAt(r, buf); wide != nil {
+			if packed, wide = k.keyOf(r, buf); wide != nil {
 				if lastWide != nil && bytes.Equal(wide, lastWide) {
 					gids[r] = lastID
 					continue
@@ -371,6 +410,66 @@ func (x *keyIndex) assign(k *kernel) {
 		}
 	}
 	k.keyBuf, k.keySpare = buf, spare
+}
+
+// maxCodeIDs bounds the table of group ids by combination of codes: keys
+// whose dictionaries have more combinations than this on a page are packed.
+const maxCodeIDs = 4096
+
+// assignCoded is assign over dictionary-coded keys: a row's combination of
+// codes indexes k.codeIDs, which holds its group id once a row of the page
+// has looked the key up (probe).
+func (x *keyIndex) assignCoded(k *kernel) {
+	gids, ids := k.gids, k.codeIDs
+	switch keys := k.keys; len(keys) {
+	case 1:
+		for r, c := range keys[0].codes[:len(gids)] {
+			g := ids[c]
+			if g < 0 {
+				g = x.probe(k, r, int(c))
+			}
+			gids[r] = g
+		}
+	case 2:
+		c0, c1, size1 := keys[0].codes[:len(gids)], keys[1].codes[:len(gids)], len(keys[1].dict)
+		for r := range gids {
+			c := int(c0[r])*size1 + int(c1[r])
+			g := ids[c]
+			if g < 0 {
+				g = x.probe(k, r, c)
+			}
+			gids[r] = g
+		}
+	default:
+		for r := range gids {
+			c := 0
+			for j := range keys {
+				c = c*len(keys[j].dict) + int(keys[j].codes[r])
+			}
+			g := ids[c]
+			if g < 0 {
+				g = x.probe(k, r, c)
+			}
+			gids[r] = g
+		}
+	}
+}
+
+// probe looks up the key of row r, the page's first row of code combination
+// c, adding it if the index does not hold it, and enters its id in the
+// table.
+func (x *keyIndex) probe(k *kernel, r, c int) int32 {
+	packed, wide := k.keyOf(r, k.keyBuf)
+	if wide != nil {
+		k.keyBuf = wide // keep the grown buffer
+	}
+	g, ok := x.find(packed, wide)
+	if !ok {
+		g = x.add(packed, wide)
+		k.fresh = append(k.fresh, int32(r))
+	}
+	k.codeIDs[c] = g
+	return g
 }
 
 // aggCell is the running state of one aggregate of one group.
@@ -592,45 +691,50 @@ type kernel struct {
 	sh       *aggShape
 	pred     func(record.Tuple) bool
 	vec      record.Vectors
-	scratch  record.Tuple // the predicate's decode buffer
+	scratch  record.Tuple // the predicate's tuple
 	keys     []keyCol     // the group-by columns of vec
 	packed   []uint64     // each row's key, packed, or notPacked
+	coded    bool         // every key column is coded: ids come from codeIDs
+	codeIDs  []int32      // group id by combination of codes, -1 for none yet
 	rows     []int32      // 0, 1, …: the batch's rows, in order
 	gids     []int32      // group id per row
 	fresh    []int32      // first row of each group the last assign added
 	keyBuf   []byte       // two buffers for wide keys: the current and the last one
 	keySpare []byte
 
-	// The shared consumer's page-local group ids, and the scratch its
-	// regrouping of the page by stripe is carved from.
+	// The shared consumer's page-local group ids, the scratch its stripe
+	// bookkeeping is carved from, and the copies of the page's groups'
+	// cells it folds into.
 	local  keyIndex
 	shared []int32
+	page   groupTable
 }
 
 // init readies k to fold shape sh under pred.
 func (k *kernel) init(sh *aggShape, pred func(record.Tuple) bool) {
-	*k = kernel{sh: sh, pred: pred, keys: make([]keyCol, len(sh.groupBy))}
+	*k = kernel{sh: sh, pred: pred, keys: make([]keyCol, len(sh.groupBy)), page: groupTable{sh: sh}}
 }
 
 // loadPage fills the batch with the rows of view that the predicate keeps,
-// every row without one. On a decode error the rows ahead of the failing
-// tuple are loaded and the error returned: the tuple loop had folded them.
+// every row without one. A page that fails to decode loads no rows.
 func (k *kernel) loadPage(view heap.PageView) error {
-	k.vec.Reset(k.sh.cols)
-	k.vec.Grow(view.NumTuples())
 	if k.pred == nil {
+		k.vec.Reset(k.sh.cols)
 		return view.AppendTo(&k.vec)
 	}
-	for i := 0; i < view.NumTuples(); i++ {
-		t, err := view.Tuple(k.scratch, i)
-		if err != nil {
-			return err
-		}
-		k.scratch = t
-		if k.pred(t) {
-			k.vec.AppendTuple(t)
+	k.vec.Reset(view.Columns().Union(k.sh.cols))
+	if err := view.AppendTo(&k.vec); err != nil {
+		return err
+	}
+	k.reserve(k.vec.Len())
+	keep := k.gids[:0] // free until the group-id stage
+	for r := 0; r < k.vec.Len(); r++ {
+		k.scratch = k.vec.Row(k.scratch, r)
+		if k.pred(k.scratch) {
+			keep = append(keep, int32(r))
 		}
 	}
+	k.vec.Keep(keep)
 	return nil
 }
 
@@ -662,31 +766,62 @@ func (k *kernel) batch() (int, error) {
 	if k.sh.err != nil {
 		return 0, k.sh.err
 	}
+	// The keys are coded when every one is a varchar coded on the page,
+	// and their dictionaries have few enough combinations for a table.
+	combos := 1
 	for j, ord := range k.sh.groupBy {
 		kc := &k.keys[j]
 		kc.kind = k.sh.schema.Field(ord).Kind
+		kc.codes, kc.dict = nil, nil
 		switch kc.kind {
 		case record.KindFloat64:
 			kc.f = k.vec.Float64s(ord)
 		case record.KindString:
-			kc.s = k.vec.Strings(ord)
+			kc.codes, kc.dict = k.vec.Codes(ord)
 		default:
 			kc.i = k.vec.Int64s(ord)
 		}
-	}
-	if len(k.rows) < n {
-		// rows, gids and fresh share one allocation, with room for a
-		// fuller batch and a few new groups.
-		size := max(n+n/4, 2*len(k.rows))
-		buf := make([]int32, 2*size+16)
-		k.rows, k.gids, k.fresh = buf[:size:size], buf[size:2*size:2*size], buf[2*size:2*size]
-		for i := range k.rows {
-			k.rows[i] = int32(i)
+		if combos *= len(kc.dict); combos > maxCodeIDs {
+			combos = 0
 		}
-		k.packed = make([]uint64, size)
 	}
+	k.coded = combos > 0 && len(k.keys) > 0
+	for j, ord := range k.sh.groupBy {
+		if kc := &k.keys[j]; kc.kind == record.KindString && !k.coded {
+			kc.codes, kc.s = nil, k.vec.Strings(ord)
+		}
+	}
+	k.reserve(n)
 	k.fresh = k.fresh[:0]
+	if k.coded {
+		if cap(k.codeIDs) < combos {
+			k.codeIDs = make([]int32, combos)
+		}
+		k.codeIDs = k.codeIDs[:combos]
+		for i := range k.codeIDs {
+			k.codeIDs[i] = -1
+		}
+	}
 	return n, nil
+}
+
+// reserve makes room in rows and gids for a batch of n rows.
+func (k *kernel) reserve(n int) {
+	if len(k.rows) >= n {
+		return
+	}
+	// rows, gids, fresh and a small table of code ids share one
+	// allocation, with room for a fuller batch and a few new groups.
+	const fresh, ids = 16, 64
+	size := max(n+n/4, 2*len(k.rows))
+	buf := make([]int32, 2*size+fresh+ids)
+	k.rows, k.gids, k.fresh = buf[:size:size], buf[size:2*size:2*size], buf[2*size:2*size:2*size+fresh]
+	for i := range k.rows {
+		k.rows[i] = int32(i)
+	}
+	if cap(k.codeIDs) <= ids {
+		k.codeIDs = buf[2*size+fresh:]
+	}
 }
 
 // fold folds the loaded batch into tb.

@@ -68,9 +68,9 @@ type TableScan struct {
 	origin   int // first page of the wrap-around order
 	start    int
 	end      int
-	visited  int // pages processed so far
-	pageView heap.PageView
-	pageIdx  int // next tuple on the current page
+	visited  int            // pages processed so far
+	page     record.Vectors // the current page, decoded
+	pageIdx  int            // next tuple on the current page
 	scratch  record.Tuple
 	opened   bool
 	sharing  bool
@@ -169,18 +169,21 @@ func (t *TableScan) Next() (record.Tuple, bool, error) {
 	if !t.opened {
 		return nil, false, fmt.Errorf("exec: Next on unopened scan")
 	}
-	for t.pageIdx >= t.pageView.NumTuples() {
+	for t.pageIdx >= t.page.Len() {
 		view, ok, err := t.loadNextPage()
 		if err != nil || !ok {
 			return nil, false, err
 		}
-		t.pageView, t.pageIdx = view, 0
+		// Decode the page once, a column at a time; each tuple is then
+		// built from the vectors.
+		t.page.Reset(t.cols)
+		if err := view.AppendTo(&t.page); err != nil {
+			return nil, false, err
+		}
+		t.pageIdx = 0
 	}
-	tup, err := t.pageView.Tuple(t.scratch, t.pageIdx)
-	if err != nil {
-		return nil, false, err
-	}
-	t.scratch = tup
+	t.scratch = t.page.Row(t.scratch, t.pageIdx)
+	tup := t.scratch
 	t.pageIdx++
 	t.env.Acct.TuplesRead++
 	return tup, true, nil

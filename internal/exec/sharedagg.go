@@ -82,9 +82,11 @@ func (s *SharedAggState) bind(schema *record.Schema) (*aggShape, error) {
 }
 
 // foldPage folds the rows of view that k's predicate keeps. It computes the
-// page's group ids once, in a page-local index, and then takes each stripe
-// that owns one of the page's groups once, adding that stripe's rows in row
-// order.
+// page's group ids once, in a page-local index, and locks the stripes that
+// own the page's groups, in stripe order. Under the locks it copies those
+// groups' cells out, folds the page into the copies as a private table
+// would, in row order, and copies them back: each group takes the page's
+// rows in row order, onto its running state, as in the tuple loop.
 func (s *SharedAggState) foldPage(k *kernel, view heap.PageView) error {
 	err := k.loadPage(view)
 	n, ferr := k.batch()
@@ -97,60 +99,42 @@ func (s *SharedAggState) foldPage(k *kernel, view heap.PageView) error {
 	k.local.reset()
 	k.local.assign(k) // k.gids: page-local ids; k.fresh: each one's first row
 
-	// The stripe of each page-local group, from its key; then the rows
-	// regrouped by stripe, in row order within each: a counting sort
-	// that leaves stripe i's rows at byStripe[at[i]:at[i+1]].
 	ns, nl := len(s.stripes), len(k.fresh)
-	k.shared = slices.Grow(k.shared[:0], 2*nl+ns+1+2*n)[:0]
-	carve := func(m int) []int32 {
-		k.shared = k.shared[:len(k.shared)+m]
-		return k.shared[len(k.shared)-m:]
-	}
-	stripeOf, stripeID := carve(nl), carve(nl) // per page-local group
-	at := carve(ns + 1)
-	byStripe, sgids := carve(n), carve(n) // per row, in stripe order
-	clear(at)
+	k.shared = slices.Grow(k.shared[:0], 2*nl+ns)[:2*nl+ns]
+	stripeOf, stripeID, locked := k.shared[:nl], k.shared[nl:2*nl], k.shared[2*nl:]
+	clear(locked)
 	for lg, r := range k.fresh {
-		packed, wide := k.keyAt(int(r), k.keyBuf)
+		packed, wide := k.keyOf(int(r), k.keyBuf)
 		h := mix64(packed)
 		if wide != nil {
 			h = fnv64(wide)
 		}
 		st, _ := bits.Mul64(h, uint64(ns)) // the high half of hash x stripes: uniform, no division
-		stripeOf[lg] = int32(st)
+		stripeOf[lg], locked[st] = int32(st), 1
 	}
-	for _, g := range k.gids {
-		at[stripeOf[g]]++
-	}
-	for i := 1; i < ns; i++ {
-		at[i] += at[i-1] // at[i]: where stripe i's rows end
-	}
-	for r := n - 1; r >= 0; r-- {
-		st := stripeOf[k.gids[r]]
-		at[st]--
-		byStripe[at[st]] = int32(r)
-	}
-	at[ns] = int32(n) // at[i]: where they start
-
 	for i := range s.stripes {
-		from, to := at[i], at[i+1]
-		if from == to {
-			continue
+		if locked[i] != 0 {
+			s.stripes[i].mu.Lock()
 		}
-		st := &s.stripes[i]
-		st.mu.Lock()
-		for lg, r := range k.fresh {
-			if stripeOf[lg] == int32(i) {
-				packed, wide := k.keyAt(int(r), k.keyBuf)
-				stripeID[lg] = st.tbl.group(packed, wide, &k.vec, int(r))
-			}
+	}
+	for lg, r := range k.fresh {
+		packed, wide := k.keyOf(int(r), k.keyBuf)
+		stripeID[lg] = s.stripes[stripeOf[lg]].tbl.group(packed, wide, &k.vec, int(r))
+	}
+	na := len(k.sh.ops)
+	page := &k.page
+	page.cells = slices.Grow(page.cells[:0], nl*na)
+	for lg, g := range stripeID {
+		page.cells = append(page.cells, s.stripes[stripeOf[lg]].tbl.cells[int(g)*na:][:na]...)
+	}
+	page.fold(&k.vec, k.rows[:n], k.gids)
+	for lg, g := range stripeID {
+		copy(s.stripes[stripeOf[lg]].tbl.cells[int(g)*na:][:na], page.cells[lg*na:])
+	}
+	for i := range s.stripes {
+		if locked[i] != 0 {
+			s.stripes[i].mu.Unlock()
 		}
-		rows, ids := byStripe[from:to], sgids[from:to]
-		for j, r := range rows {
-			ids[j] = stripeID[k.gids[r]]
-		}
-		st.tbl.fold(&k.vec, rows, ids)
-		st.mu.Unlock()
 	}
 	s.folds.Add(int64(n))
 	return err

@@ -170,9 +170,30 @@ func TestViewRejectsCorruptPages(t *testing.T) {
 	if _, err := View(s, []byte{}); err == nil {
 		t.Error("empty page accepted")
 	}
-	// Claims 100 tuples but has no slot directory.
+	// Claims 100 tuples but has no column offsets.
 	if _, err := View(s, []byte{100, 0, 0}); err == nil {
-		t.Error("overlong slot directory accepted")
+		t.Error("page without column offsets accepted")
+	}
+	// Offsets that go back, a bigint column short of its tuple.
+	for _, page := range [][]byte{
+		{1, 0, 6, 0, 5, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+		{1, 0, 6, 0, 13, 0, 0, 0, 0, 0, 0, 0, 0, 0},
+	} {
+		if _, err := View(s, page); err == nil {
+			t.Errorf("corrupt page %v accepted", page)
+		}
+	}
+	// A dictionary larger than its column: the view touches no varchar,
+	// a read of one fails.
+	v, err := View(s, []byte{1, 0, 6, 0, 14, 0, 0, 0, 0, 0, 0, 0, 0, 0, 9, 0})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := v.Tuple(nil, 0); err == nil {
+		t.Error("a tuple of a malformed varchar column read")
+	}
+	if err := v.ForEach(func(record.Tuple) error { return nil }); err == nil {
+		t.Error("a page of a malformed varchar column read")
 	}
 }
 

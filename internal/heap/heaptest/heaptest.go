@@ -23,7 +23,7 @@ var (
 	Q1Sums    = []string{"l_quantity", "l_extendedprice"}
 )
 
-// LineitemPages returns the schema and the encoded pages of a table with the
+// LineitemPages returns the schema and the heap pages of a table with the
 // column layout of the workload's lineitem — a six-field fixed-width prefix,
 // two one-byte varchars, a date and a longer varchar — filled with rows
 // deterministic rows. The pages are the device's own slices: treat them as

@@ -13,10 +13,10 @@ import (
 )
 
 // TestAppendErrorLeavesBuilderUnchanged rejects an oversized row, a row whose
-// last value has the wrong kind (its first fields encode before the error),
-// and a row one value short before every good row, so also before each row
-// that starts a page; the table the builder makes must be the one the
-// reference makes from the good rows alone, byte for byte.
+// last value has the wrong kind, and a row one value short before every good
+// row, so also before each row that starts a page; the table the builder
+// makes must be the one it makes from the good rows alone, byte for byte,
+// and hold the rows the reference puts on each of its row pages.
 func TestAppendErrorLeavesBuilderUnchanged(t *testing.T) {
 	schema := record.MustSchema(
 		record.Field{Name: "k", Kind: record.KindInt64},
@@ -46,39 +46,51 @@ func TestAppendErrorLeavesBuilderUnchanged(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	dev := disk.MustNew(model, 0)
-	b, err := heap.NewBuilder(dev, "t", schema)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i, row := range good {
-		for _, r := range bad {
-			if err := b.Append(r); err == nil {
-				t.Fatalf("row %d: bad row %v accepted", i, r)
-			}
-		}
-		if err := b.Append(row); err != nil {
-			t.Fatal(err)
-		}
-	}
-	tbl, err := b.Finish()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if tbl.NumPages() != len(ref.Pages) || tbl.NumTuples() != ref.Tuples {
-		t.Fatalf("%d pages, %d tuples; reference %d, %d", tbl.NumPages(), tbl.NumTuples(), len(ref.Pages), ref.Tuples)
-	}
-	if len(ref.Pages) < 5 {
-		t.Fatalf("only %d pages: no page boundary to cross", len(ref.Pages))
-	}
-	for i, want := range ref.Pages {
-		pid, _ := tbl.PageID(i)
-		got, err := dev.ReadRaw(pid)
+	build := func(bad []record.Tuple) [][]byte {
+		dev := disk.MustNew(model, 0)
+		b, err := heap.NewBuilder(dev, "t", schema)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if !bytes.Equal(got, want) {
-			t.Errorf("page %d differs from the reference", i)
+		for i, row := range good {
+			for _, r := range bad {
+				if err := b.Append(r); err == nil {
+					t.Fatalf("row %d: bad row %v accepted", i, r)
+				}
+			}
+			if err := b.Append(row); err != nil {
+				t.Fatal(err)
+			}
 		}
+		tbl, err := b.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if tbl.NumTuples() != ref.Tuples {
+			t.Fatalf("%d tuples, reference %d", tbl.NumTuples(), ref.Tuples)
+		}
+		pages := make([][]byte, tbl.NumPages())
+		for i := range pages {
+			pid, _ := tbl.PageID(i)
+			if pages[i], err = dev.ReadRaw(pid); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return pages
+	}
+	pages, clean := build(bad), build(nil)
+	if len(ref.Pages) < 5 {
+		t.Fatalf("only %d pages: no page boundary to cross", len(ref.Pages))
+	}
+	if len(pages) != len(clean) {
+		t.Fatalf("%d pages, %d from the good rows alone", len(pages), len(clean))
+	}
+	for i := range pages {
+		if !bytes.Equal(pages[i], clean[i]) {
+			t.Errorf("page %d differs from the one built from the good rows alone", i)
+		}
+	}
+	if _, _, err := heaptest.CheckRowBoundaries(schema, model.PageSize, pages, ref); err != nil {
+		t.Fatal(err)
 	}
 }

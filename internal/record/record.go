@@ -1,28 +1,24 @@
-// Package record defines tuple schemas and a compact binary tuple codec.
+// Package record defines tuple schemas, typed values and the column
+// vectors a scan decodes pages into.
 //
-// The storage engine stores real encoded tuples in heap pages so that a scan
-// does the work a scan actually does: copy a page through the buffer pool,
-// walk its slot directory, decode tuples, and evaluate predicates over typed
-// values. That keeps the CPU/IO balance of the simulated queries honest —
-// the paper's Q1-like queries are CPU-bound precisely because per-tuple
-// expression work dominates.
+// The storage engine stores real tuples in heap pages (internal/heap lays
+// them out column by column) so that a scan does the work a scan actually
+// does: copy a page through the buffer pool, decode its columns, and
+// evaluate predicates and aggregates over typed values. That keeps the
+// CPU/IO balance of the simulated queries honest — the paper's Q1-like
+// queries are CPU-bound precisely because per-tuple expression work
+// dominates.
 //
-// The encoding is little-endian and self-delimiting per field:
-//
-//	int64   -> 8 bytes
-//	float64 -> 8 bytes (IEEE 754 bits)
-//	date    -> 8 bytes (days since epoch, as int64)
-//	string  -> uvarint length + bytes
+// A tuple's row size, EncodedSize, is what heap's page-boundary rule counts:
+// 8 bytes per bigint, double or date, and a uvarint length plus the bytes
+// per varchar, the size of a self-delimiting little-endian row encoding.
 //
 // Schemas are flat and fixed per table; nullability is out of scope (the
 // TPC-H columns the workload uses are all NOT NULL).
 package record
 
 import (
-	"encoding/binary"
 	"fmt"
-	"math"
-	"math/bits"
 	"strings"
 	"unsafe"
 )
@@ -67,10 +63,6 @@ type Field struct {
 type Schema struct {
 	fields []Field
 	index  map[string]int
-	// fixed counts the fields ahead of the first varchar, at most 64. They
-	// are all 8 bytes wide, so field i < fixed sits at byte 8*i of every
-	// tuple.
-	fixed int
 }
 
 // NewSchema builds a schema from fields. Field names must be unique and
@@ -91,9 +83,6 @@ func NewSchema(fields ...Field) (*Schema, error) {
 			return nil, fmt.Errorf("record: duplicate field name %q", f.Name)
 		}
 		s.index[f.Name] = i
-	}
-	for s.fixed < min(len(fields), 64) && fields[s.fixed].Kind != KindString {
-		s.fixed++
 	}
 	return s, nil
 }
@@ -216,7 +205,7 @@ func (v Value) GoString() string {
 type Tuple []Value
 
 // Clone returns v owning its bytes: a decoded varchar is a view into the page
-// it was decoded from (see Columns.Decode), so anything that keeps a value
+// it was decoded from (see ViewString), so anything that keeps a value
 // past the decoder's next call, or past the page, clones it first.
 func (v Value) Clone() Value {
 	if v.Kind == KindString {
@@ -234,39 +223,18 @@ func (t Tuple) Clone() Tuple {
 	return out
 }
 
-// Encode appends the tuple's binary form to dst and returns the extended
-// slice. The tuple must match the schema.
-func Encode(dst []byte, s *Schema, t Tuple) ([]byte, error) {
-	if len(t) != s.NumFields() {
-		return nil, fmt.Errorf("record: tuple has %d values, schema has %d fields", len(t), s.NumFields())
-	}
-	for i, v := range t {
-		want := s.Field(i).Kind
-		if v.Kind != want {
-			return nil, fmt.Errorf("record: field %q: value kind %v, want %v", s.Field(i).Name, v.Kind, want)
-		}
-		switch v.Kind {
-		case KindInt64, KindDate:
-			dst = binary.LittleEndian.AppendUint64(dst, uint64(v.I))
-		case KindFloat64:
-			dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(v.F))
-		case KindString:
-			dst = binary.AppendUvarint(dst, uint64(len(v.S)))
-			dst = append(dst, v.S...)
-		}
-	}
-	return dst, nil
-}
-
-// EncodedSize returns the number of bytes Encode will produce for t.
+// EncodedSize returns t's row size: 8 bytes per fixed-width field and, per
+// varchar, its bytes and the uvarint of their count. It checks t against the
+// schema.
 func EncodedSize(s *Schema, t Tuple) (int, error) {
 	if len(t) != s.NumFields() {
 		return 0, fmt.Errorf("record: tuple has %d values, schema has %d fields", len(t), s.NumFields())
 	}
 	n := 0
-	for i, v := range t {
-		if v.Kind != s.Field(i).Kind {
-			return 0, fmt.Errorf("record: field %q kind mismatch", s.Field(i).Name)
+	for i := range t {
+		v, f := &t[i], &s.fields[i]
+		if v.Kind != f.Kind {
+			return 0, fmt.Errorf("record: field %q kind mismatch", f.Name)
 		}
 		switch v.Kind {
 		case KindInt64, KindDate, KindFloat64:
@@ -352,130 +320,13 @@ func (c Columns) Reads(ord int) bool { return ord >= 64 || c.mask&(1<<ord) != 0 
 // Schema returns the schema the set was compiled for.
 func (c Columns) Schema() *Schema { return c.schema }
 
-// Decode parses one tuple from buf and returns it with the number of bytes
-// consumed. Every field is bounds-checked and stepped over whether or not the
-// set reads it, so the byte count and the error on truncated or malformed
-// input do not depend on the set.
-//
-// dst is either empty — its backing array is reused when it has capacity —
-// or a tuple an earlier Decode of this same column set returned, the
-// `scratch = t` loop. The second form is what makes a field outside the set
-// free: its typed zero is written once, when the tuple is first sized, and
-// is not touched again.
-//
-// Varchars are views into buf, not copies: they are valid for as long as
-// buf's bytes are unchanged, and the tuple itself only until it is decoded
-// into again. Callers that retain a value Clone it.
-func (c Columns) Decode(dst Tuple, buf []byte) (Tuple, int, error) {
-	fields := c.schema.fields
-	t := dst
-	if len(t) != len(fields) {
-		if t = t[:0]; cap(t) < len(fields) {
-			t = make(Tuple, len(fields))
-		}
-		t = t[:len(fields)]
-		for i := range fields {
-			t[i] = Value{Kind: fields[i].Kind}
-		}
-	}
-	i, off := 0, 0
-	if fixed := c.schema.fixed; c.mask != ^uint64(0) && 8*fixed <= len(buf) {
-		// The whole fixed-width prefix is there: read what is wanted of
-		// it at its known offsets and start the walk behind it. (The
-		// full decode walks every field: it is what the tests hold a
-		// selective decode against.)
-		for m := c.mask & (1<<fixed - 1); m != 0; m &= m - 1 {
-			ord := bits.TrailingZeros64(m)
-			t[ord].setFixed(buf[8*ord:])
-		}
-		i, off = fixed, 8*fixed
-	}
-	for ; i < len(fields); i++ {
-		if fields[i].Kind != KindString {
-			if off+8 > len(buf) {
-				_, _, err := c.schema.stepLong(i, buf, off)
-				return nil, 0, err
-			}
-			if c.Reads(i) {
-				t[i].setFixed(buf[off:])
-			}
-			off += 8
-			continue
-		}
-		start, end, ok := stepVarchar(buf, off)
-		if !ok {
-			var err error
-			if start, end, err = c.schema.stepLong(i, buf, off); err != nil {
-				return nil, 0, err
-			}
-		}
-		if c.Reads(i) {
-			t[i].S = viewString(buf[start:end])
-		}
-		off = end
-	}
-	return t, off, nil
-}
-
-// stepVarchar is the varchar step of the field walk every decoder shares:
-// it bounds-checks a varchar field that starts at buf[off:] and returns
-// where its bytes lie in buf, end being where the next field starts. ok is
-// false when the field is truncated or malformed, and also when its length
-// prefix is longer than one byte: stepLong then finishes the step or says
-// what is wrong. (A fixed-width field is 8 bytes, no more to check than
-// off+8 <= len(buf). stepVarchar inlines into the decoders' loops; stepLong
-// is the rare case.)
-func stepVarchar(buf []byte, off int) (start, end int, ok bool) {
-	if off < len(buf) && buf[off] < 0x80 {
-		start = off + 1
-		end = start + int(buf[off])
-		return start, end, end <= len(buf)
-	}
-	return 0, 0, false
-}
-
-// stepLong is the step of field i of s that the decoders' fast path refused:
-// a truncated fixed-width field, or a varchar stepVarchar refused.
-func (s *Schema) stepLong(i int, buf []byte, off int) (start, end int, err error) {
-	f := &s.fields[i]
-	if f.Kind != KindString {
-		return 0, 0, fmt.Errorf("record: truncated %s field %q", f.Kind, f.Name)
-	}
-	n, vn := binary.Uvarint(buf[off:])
-	if vn <= 0 {
-		return 0, 0, fmt.Errorf("record: bad varchar length for field %q", f.Name)
-	}
-	if off += vn; n > uint64(len(buf)-off) {
-		return 0, 0, fmt.Errorf("record: truncated varchar field %q", f.Name)
-	}
-	return off, off + int(n), nil
-}
-
-// setFixed loads the 8-byte field at the start of b into v, whose Kind is
-// already set and whose other members are zero.
-func (v *Value) setFixed(b []byte) {
-	u := binary.LittleEndian.Uint64(b)
-	if v.Kind == KindFloat64 {
-		v.F = math.Float64frombits(u)
-	} else {
-		v.I = int64(u)
-	}
-}
-
-// Decode parses one tuple of schema s from buf with every column
-// materialized; see Columns.Decode for dst and for the lifetime of varchars.
-func Decode(dst Tuple, s *Schema, buf []byte) (Tuple, int, error) {
-	return AllColumns(s).Decode(dst, buf)
-}
-
-// viewString returns b's bytes as a string without copying them — the only
-// unsafe in the codec. It is sound because nothing writes to a page after it
-// is built: disk.Device.Write stores a copy and replaces the page's slice
-// rather than mutating it, the buffer pool hands out that same slice, and an
-// injected torn read fails with an error and is never delivered. A caller
-// decoding from a buffer it does reuse must Clone what it keeps before the
-// next write.
-func viewString(b []byte) string {
+// ViewString returns b's bytes as a string without copying them. It is
+// sound for a page because nothing writes to a page after it is built: the
+// device keeps the slice the builder laid out and never mutates it, the
+// buffer pool hands out that same slice, and an injected torn read fails
+// with an error and is never delivered. A caller decoding from a buffer it
+// does reuse must Clone what it keeps before the next write.
+func ViewString(b []byte) string {
 	return unsafe.String(unsafe.SliceData(b), len(b))
 }
 
@@ -503,5 +354,5 @@ func (a *Arena) Clone(s string) string {
 	}
 	start := len(a.chunk)
 	a.chunk = append(a.chunk, s...)
-	return viewString(a.chunk[start:])
+	return ViewString(a.chunk[start:])
 }

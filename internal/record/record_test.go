@@ -1,8 +1,6 @@
 package record
 
 import (
-	"math"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -66,93 +64,6 @@ func TestMustOrdinalPanics(t *testing.T) {
 	testSchema(t).MustOrdinal("ghost")
 }
 
-func TestEncodeDecodeRoundTrip(t *testing.T) {
-	s := testSchema(t)
-	in := Tuple{Int64(-42), Float64(3.25), String("hello, página"), Date(9131)}
-	buf, err := Encode(nil, s, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	size, err := EncodedSize(s, in)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if size != len(buf) {
-		t.Errorf("EncodedSize = %d, Encode produced %d bytes", size, len(buf))
-	}
-	out, n, err := Decode(nil, s, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n != len(buf) {
-		t.Errorf("Decode consumed %d of %d bytes", n, len(buf))
-	}
-	if !reflect.DeepEqual(in, out) {
-		t.Errorf("round trip mismatch:\n in: %#v\nout: %#v", in, out)
-	}
-}
-
-func TestEncodeValidatesArityAndKinds(t *testing.T) {
-	s := testSchema(t)
-	if _, err := Encode(nil, s, Tuple{Int64(1)}); err == nil {
-		t.Error("short tuple accepted")
-	}
-	bad := Tuple{String("x"), Float64(1), String("y"), Date(0)}
-	if _, err := Encode(nil, s, bad); err == nil {
-		t.Error("kind mismatch accepted")
-	}
-	if _, err := EncodedSize(s, Tuple{Int64(1)}); err == nil {
-		t.Error("EncodedSize accepted short tuple")
-	}
-	if _, err := EncodedSize(s, bad); err == nil {
-		t.Error("EncodedSize accepted kind mismatch")
-	}
-}
-
-func TestDecodeTruncated(t *testing.T) {
-	s := testSchema(t)
-	in := Tuple{Int64(7), Float64(1.5), String("abcdef"), Date(100)}
-	buf, _ := Encode(nil, s, in)
-	for cut := 0; cut < len(buf); cut++ {
-		if _, _, err := Decode(nil, s, buf[:cut]); err == nil {
-			t.Fatalf("decode of %d/%d bytes succeeded", cut, len(buf))
-		}
-	}
-}
-
-func TestDecodeConsumesExactlyOneTuple(t *testing.T) {
-	s := testSchema(t)
-	a := Tuple{Int64(1), Float64(2), String("first"), Date(3)}
-	b := Tuple{Int64(4), Float64(5), String("second"), Date(6)}
-	buf, _ := Encode(nil, s, a)
-	buf, _ = Encode(buf, s, b)
-	gotA, n, err := Decode(nil, s, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotB, _, err := Decode(nil, s, buf[n:])
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(gotA, a) || !reflect.DeepEqual(gotB, b) {
-		t.Error("consecutive decode mismatch")
-	}
-}
-
-func TestDecodeReusesBuffer(t *testing.T) {
-	s := testSchema(t)
-	in := Tuple{Int64(1), Float64(2), String("x"), Date(3)}
-	buf, _ := Encode(nil, s, in)
-	scratch := make(Tuple, 0, 8)
-	out, _, err := Decode(scratch, s, buf)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if &out[0] != &scratch[:1][0] {
-		t.Error("Decode did not reuse the provided backing array")
-	}
-}
-
 func TestCompare(t *testing.T) {
 	cases := []struct {
 		a, b Value
@@ -206,27 +117,6 @@ func TestValueGoString(t *testing.T) {
 	}
 	if !strings.Contains(Float64(1.5).GoString(), "1.5") {
 		t.Errorf("Float64 GoString = %q", Float64(1.5).GoString())
-	}
-}
-
-// TestRoundTripProperty checks Encode/Decode over random tuples, including
-// large strings, NaN-adjacent floats, and extreme ints.
-func TestRoundTripProperty(t *testing.T) {
-	s := testSchema(t)
-	f := func(id int64, price float64, comment string, days int64) bool {
-		if math.IsNaN(price) {
-			price = 0 // NaN != NaN would fail DeepEqual for the wrong reason
-		}
-		in := Tuple{Int64(id), Float64(price), String(comment), Date(days)}
-		buf, err := Encode(nil, s, in)
-		if err != nil {
-			return false
-		}
-		out, n, err := Decode(nil, s, buf)
-		return err == nil && n == len(buf) && reflect.DeepEqual(in, out)
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -21,6 +21,7 @@ package workload
 
 import (
 	"fmt"
+	"math/bits"
 	"math/rand"
 	"time"
 
@@ -139,6 +140,31 @@ func CustomerSchema() *scanshare.Schema {
 	)
 }
 
+// intn draws what rand.Rand.Intn(n) draws for a fixed n in [1, 2^31): the
+// same number from the same source, with the rejection bound and a
+// reciprocal for the remainder worked out once, so that a draw divides
+// nothing. The loaders draw millions of times from a few fixed ranges.
+type intn struct {
+	n, max int32
+	m      uint64 // ^uint64(0)/n + 1, for v % n by multiplication (Lemire's fastmod)
+}
+
+func newIntn(n int) intn {
+	return intn{n: int32(n), max: int32((1 << 31) - 1 - (1<<31)%uint32(n)), m: ^uint64(0)/uint64(n) + 1}
+}
+
+func (d intn) draw(r *rand.Rand) int {
+	if d.n&(d.n-1) == 0 { // a power of two: Int31n masks
+		return int(r.Int31() & (d.n - 1))
+	}
+	v := r.Int31()
+	for v > d.max {
+		v = r.Int31()
+	}
+	rem, _ := bits.Mul64(d.m*uint64(v), uint64(d.n))
+	return int(rem)
+}
+
 // Load generates the database into eng.
 func Load(eng *scanshare.Engine, cfg GenConfig) (*DB, error) {
 	if cfg.ScaleFactor <= 0 {
@@ -158,23 +184,26 @@ func Load(eng *scanshare.Engine, cfg GenConfig) (*DB, error) {
 	nLine := rows(lineitemRowsSF1)
 	db.Lineitem, err = eng.LoadTable("lineitem", LineitemSchema(), func(add func(scanshare.Tuple) error) error {
 		rng := rand.New(rand.NewSource(cfg.Seed))
+		qtys, orders, parts := newIntn(50), newIntn(nLine/2+1), newIntn(rows(partRowsSF1))
+		discounts, taxes := newIntn(11), newIntn(9)
+		flags, stati, modes := newIntn(len(returnFlags)), newIntn(len(lineStatuses)), newIntn(len(shipModes))
 		var t scanshare.Tuple // one tuple for every row: add keeps nothing of it
 		for i := 0; i < nLine; i++ {
 			// Clustered on shipdate: dates increase with row order.
 			day := int64(i) * DataDays / int64(nLine)
-			qty := float64(1 + rng.Intn(50))
+			qty := float64(1 + qtys.draw(rng))
 			price := qty * (900 + 200*rng.Float64())
 			t = append(t[:0],
-				scanshare.Int64(int64(1+rng.Intn(nLine/2+1))),
-				scanshare.Int64(int64(1+rng.Intn(rows(partRowsSF1)))),
+				scanshare.Int64(int64(1+orders.draw(rng))),
+				scanshare.Int64(int64(1+parts.draw(rng))),
 				scanshare.Float64(qty),
 				scanshare.Float64(price),
-				scanshare.Float64(float64(rng.Intn(11))/100),
-				scanshare.Float64(float64(rng.Intn(9))/100),
-				scanshare.String(returnFlags[rng.Intn(len(returnFlags))]),
-				scanshare.String(lineStatuses[rng.Intn(len(lineStatuses))]),
+				scanshare.Float64(float64(discounts.draw(rng))/100),
+				scanshare.Float64(float64(taxes.draw(rng))/100),
+				scanshare.String(returnFlags[flags.draw(rng)]),
+				scanshare.String(lineStatuses[stati.draw(rng)]),
 				scanshare.Date(day),
-				scanshare.String(shipModes[rng.Intn(len(shipModes))]),
+				scanshare.String(shipModes[modes.draw(rng)]),
 			)
 			if err := add(t); err != nil {
 				return err
@@ -189,16 +218,17 @@ func Load(eng *scanshare.Engine, cfg GenConfig) (*DB, error) {
 	nOrders := rows(ordersRowsSF1)
 	db.Orders, err = eng.LoadTable("orders", OrdersSchema(), func(add func(scanshare.Tuple) error) error {
 		rng := rand.New(rand.NewSource(cfg.Seed + 1))
+		custs, prios, stati := newIntn(rows(customerRowsSF1)), newIntn(len(priorities)), newIntn(len(orderStati))
 		var t scanshare.Tuple
 		for i := 0; i < nOrders; i++ {
 			day := int64(i) * DataDays / int64(nOrders)
 			t = append(t[:0],
 				scanshare.Int64(int64(i+1)),
-				scanshare.Int64(int64(1+rng.Intn(rows(customerRowsSF1)))),
+				scanshare.Int64(int64(1+custs.draw(rng))),
 				scanshare.Float64(1000+99000*rng.Float64()),
 				scanshare.Date(day),
-				scanshare.String(priorities[rng.Intn(len(priorities))]),
-				scanshare.String(orderStati[rng.Intn(len(orderStati))]),
+				scanshare.String(priorities[prios.draw(rng)]),
+				scanshare.String(orderStati[stati.draw(rng)]),
 			)
 			if err := add(t); err != nil {
 				return err
@@ -265,10 +295,12 @@ func BufferPoolFor(cfg GenConfig, pageSize int, frac float64) int {
 	if pageSize <= 0 {
 		pageSize = 8192
 	}
-	// Mean encoded tuple bytes per table (measured; stable because field
-	// sizes are fixed except short varchars).
+	// Mean row bytes per table, record.EncodedSize (measured; stable
+	// because field sizes are fixed except short varchars). Page
+	// boundaries are the row layout's, so its 2-byte slot per tuple is
+	// what the estimate adds, whatever the page holds column-major.
 	estBytes := cfg.ScaleFactor * (lineitemRowsSF1*77 + ordersRowsSF1*49 + partRowsSF1*48 + customerRowsSF1*35)
-	pages := estBytes / float64(pageSize) * 1.04 // slotted-page overhead
+	pages := estBytes / float64(pageSize) * 1.04 // the row layout's slot per tuple
 	n := int(pages * frac)
 	if n < 8 {
 		n = 8

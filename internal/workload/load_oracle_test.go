@@ -126,48 +126,59 @@ func enginePages(t *testing.T, eng *scanshare.Engine, tbl *scanshare.Table) [][]
 	return pages
 }
 
-// TestLoadMatchesReference is the byte-identity oracle for the paper's
-// database: Load at scale 1, seeds 42 and 7, must put on the device exactly
-// the pages the reference loader builds from the reference generator, and
-// report the same counts and column statistics for every table.
-func TestLoadMatchesReference(t *testing.T) {
-	for _, seed := range []int64{42, 7} {
-		cfg := GenConfig{ScaleFactor: 1, Seed: seed}
-		eng := testEngine(t, BufferPoolFor(cfg, 0, 0.05))
-		db, err := Load(eng, cfg)
-		if err != nil {
-			t.Fatal(err)
-		}
-		dev := disk.MustNew(disk.DefaultModel(), 0)
-		tables := map[string]*scanshare.Table{"lineitem": db.Lineitem, "orders": db.Orders, "part": db.Part, "customer": db.Customer}
-		err = refGenerate(cfg, func(name string, schema *scanshare.Schema, load func(add func(scanshare.Tuple) error) error) error {
-			ref, err := heaptest.RefLoad(dev, schema, load)
+// TestColumnPagesKeepRowBoundaries is the load oracle for the paper's
+// database: Load at scales 1 and 40, seeds 42 and 7, must put on the device
+// pages that hold, page for page, the rows the reference loader puts on its
+// row pages from the reference generator — the same page count and tuples
+// per page, none split and none larger than its row page — and report the
+// same counts and column statistics for every table. Under the race detector
+// only scale 1 runs.
+func TestColumnPagesKeepRowBoundaries(t *testing.T) {
+	scales := []float64{1, 40}
+	if heaptest.RaceEnabled {
+		scales = scales[:1] // nothing here is concurrent, and scale 40 takes minutes under the race detector
+	}
+	for _, scale := range scales {
+		for _, seed := range []int64{42, 7} {
+			cfg := GenConfig{ScaleFactor: scale, Seed: seed}
+			eng := testEngine(t, BufferPoolFor(cfg, 0, 0.05))
+			db, err := Load(eng, cfg)
 			if err != nil {
-				return err
+				t.Fatal(err)
 			}
-			tbl := tables[name]
-			if tbl.NumPages() != len(ref.Pages) || tbl.NumTuples() != ref.Tuples {
-				t.Fatalf("seed %d %s: %d pages, %d tuples; reference %d, %d", seed, name, tbl.NumPages(), tbl.NumTuples(), len(ref.Pages), ref.Tuples)
-			}
-			for i, page := range enginePages(t, eng, tbl) {
-				if !bytes.Equal(page, ref.Pages[i]) {
-					t.Fatalf("seed %d %s: page %d differs from the reference", seed, name, i)
+			dev := disk.MustNew(disk.DefaultModel(), 0)
+			tables := map[string]*scanshare.Table{"lineitem": db.Lineitem, "orders": db.Orders, "part": db.Part, "customer": db.Customer}
+			err = refGenerate(cfg, func(name string, schema *scanshare.Schema, load func(add func(scanshare.Tuple) error) error) error {
+				ref, err := heaptest.RefLoad(dev, schema, load)
+				if err != nil {
+					return err
 				}
-			}
-			for i, want := range ref.Stats {
-				col := schema.Field(i).Name
-				min, max, ok := tbl.ColumnRange(col)
-				if ok != want.Seen || !heaptest.SameValue(min, want.Min) || !heaptest.SameValue(max, want.Max) {
-					t.Errorf("seed %d %s.%s: range %#v..%#v, reference %#v..%#v", seed, name, col, min, max, want.Min, want.Max)
+				tbl := tables[name]
+				if tbl.NumPages() != len(ref.Pages) || tbl.NumTuples() != ref.Tuples {
+					t.Fatalf("scale %g seed %d %s: %d pages, %d tuples; reference %d, %d", scale, seed, name, tbl.NumPages(), tbl.NumTuples(), len(ref.Pages), ref.Tuples)
 				}
-				if tbl.Clustered(col) != want.Monotone {
-					t.Errorf("seed %d %s.%s: clustered %v, reference %v", seed, name, col, tbl.Clustered(col), want.Monotone)
+				splits, larger, err := heaptest.CheckRowBoundaries(schema, dev.Model().PageSize, enginePages(t, eng, tbl), ref)
+				if err != nil {
+					t.Fatalf("scale %g seed %d %s: %v", scale, seed, name, err)
 				}
+				if splits != 0 || larger != 0 {
+					t.Errorf("scale %g seed %d %s: %d pages split, %d larger than their row page", scale, seed, name, splits, larger)
+				}
+				for i, want := range ref.Stats {
+					col := schema.Field(i).Name
+					min, max, ok := tbl.ColumnRange(col)
+					if ok != want.Seen || !heaptest.SameValue(min, want.Min) || !heaptest.SameValue(max, want.Max) {
+						t.Errorf("scale %g seed %d %s.%s: range %#v..%#v, reference %#v..%#v", scale, seed, name, col, min, max, want.Min, want.Max)
+					}
+					if tbl.Clustered(col) != want.Monotone {
+						t.Errorf("scale %g seed %d %s.%s: clustered %v, reference %v", scale, seed, name, col, tbl.Clustered(col), want.Monotone)
+					}
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatal(err)
 		}
 	}
 }

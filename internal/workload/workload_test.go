@@ -2,6 +2,7 @@ package workload
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 	"time"
 
@@ -382,5 +383,19 @@ func TestTableKeyString(t *testing.T) {
 func TestHotFracMatchesSevenYears(t *testing.T) {
 	if HotFrac <= 0.85 || HotFrac >= 0.87 {
 		t.Errorf("HotFrac = %g, want 6/7", HotFrac)
+	}
+}
+
+// TestIntnDrawsWhatIntnDraws: the loaders' intn must draw exactly what
+// rand.Intn draws from the same source, or the database would change.
+func TestIntnDrawsWhatIntnDraws(t *testing.T) {
+	for _, n := range []int{1, 2, 3, 7, 9, 11, 50, 64, 1000, 4097, 20_001, 800_001, 1<<31 - 1} {
+		want, got := rand.New(rand.NewSource(int64(n))), rand.New(rand.NewSource(int64(n)))
+		d := newIntn(n)
+		for i := 0; i < 20_000; i++ {
+			if w, g := want.Intn(n), d.draw(got); w != g {
+				t.Fatalf("n=%d draw %d: intn %d, rand.Intn %d", n, i, g, w)
+			}
+		}
 	}
 }
